@@ -91,13 +91,9 @@ def estimate_mass(
         marginals.append(
             gbas_estimate(sampler, cond, i, x[i], params.k, rng, max_draws=max_draws)
         )
-    if n > 32:
-        # log-sum guards against underflow of a long product
-        p_hat_x = math.exp(sum(math.log(m.p_hat) for m in marginals))
-    else:
-        p_hat_x = 1.0
-        for m in marginals:
-            p_hat_x *= m.p_hat
+    p_hat_x = 1.0
+    for m in marginals:
+        p_hat_x *= m.p_hat
     return MassEstimate(
         p_hat_x=p_hat_x, marginals=tuple(marginals), draws=sum(m.draws for m in marginals)
     )

@@ -241,26 +241,36 @@ def apply_condition(p: Poset, condition: Condition) -> Poset:
     return out
 
 
-def enumerate_extensions(p: Poset, cap: int = ENUM_CAP) -> list[LinearExtension]:
-    """All linear extensions, by backtracking over minimal elements."""
+def _walk_extensions(p: Poset, cap: int, w: Sequence[float] | None = None) -> tuple[list, list]:
+    """Each extension's order with its greedy-walk probability, in one backtracking pass.
+
+    Each step multiplies it by w[e] / (total w of the minimal elements), in
+    step order: exactly 1 at a lone minimal element.  Without w it stays 1.
+    """
     if p.k > cap:
         raise TooLarge(f"enumeration needs k <= {cap}, got {p.k}")
-    below = p.below_masks
-    out: list[LinearExtension] = []
-    order: list[int] = []
+    below, k = p.below_masks, p.k
+    orders, probs, order = [], [], []
 
-    def rec(mask: int) -> None:
+    def rec(mask: int, prob: float) -> None:
         if mask == 0:
-            out.append(LinearExtension(tuple(order)))
+            orders.append(tuple(order))
+            probs.append(prob)
             return
-        for e in range(p.k):
-            if (mask >> e) & 1 and below[e] & mask == 0:
+        total = w and sum(w[e] for e in range(k) if mask >> e & 1 and not below[e] & mask)
+        for e in range(k):
+            if mask >> e & 1 and not below[e] & mask:
                 order.append(e)
-                rec(mask ^ (1 << e))
+                rec(mask ^ (1 << e), prob * (w[e] / total) if w else prob)
                 order.pop()
 
-    rec((1 << p.k) - 1)
-    return out
+    rec((1 << p.k) - 1, 1.0)
+    return orders, probs
+
+
+def enumerate_extensions(p: Poset, cap: int = ENUM_CAP) -> list[LinearExtension]:
+    """All linear extensions, by backtracking over minimal elements."""
+    return [LinearExtension(o) for o in _walk_extensions(p, cap)[0]]
 
 
 def count_extensions(p: Poset, cap: int = COUNT_CAP) -> int:
@@ -339,16 +349,22 @@ class _ExtensionSampler(ConditionalSampler):
     contradictory condition means a zero-mass subcube and falls back to
     uniform bits on the free coordinates.
 
-    Per-condition posets and (for desk-scale posets) exact support tables
-    are memoized; cache races under threads are benign since values are
-    deterministic.
+    A single draw(), and every draw once the conditioned poset has more
+    than enum_cap elements, is the sequential walk of _draw_order, with
+    the subclass's _pick choosing each step.  Other batched draws come from
+    an exact support table per condition, built in one backtracking pass
+    that records each extension with the walk's probability of drawing it.
+    Conditioned posets and tables are memoized; thread races are benign.
     """
+
+    _float_weights: Optional[tuple[float, ...]] = None  # walk weights; None is uniform
 
     def __init__(self, poset: Poset, enum_cap: int = ENUM_CAP):
         self.poset = poset
         self.free_map = poset.free_map
         self.n = self.free_map.n
         self.enum_cap = enum_cap
+        self._pairs = np.array(self.free_map.pairs, dtype=np.intp).reshape(-1, 2)
         self._cond_cache: dict[Condition, Optional[Poset]] = {}
         self._table_cache: dict[Condition, Optional[tuple[np.ndarray, np.ndarray]]] = {}
 
@@ -360,8 +376,8 @@ class _ExtensionSampler(ConditionalSampler):
                 self._cond_cache[condition] = None
         return self._cond_cache[condition]
 
-    def _step_weight(self, pc: Poset, mask: int, elem: int):
-        raise NotImplementedError
+    def _pick(self, pc: Poset, mask: int, minimals: list[int], rng: np.random.Generator) -> int:
+        raise NotImplementedError  # the walk's next element among two or more minimal ones
 
     def _draw_order(self, pc: Poset, rng: np.random.Generator) -> tuple[int, ...]:
         """Sequential draw: repeatedly pick the next element among the minimal ones."""
@@ -369,19 +385,7 @@ class _ExtensionSampler(ConditionalSampler):
         order = []
         while mask:
             minimals = pc.minimal_in(mask)
-            if len(minimals) == 1:
-                pick = minimals[0]
-            else:
-                weights = [self._step_weight(pc, mask, e) for e in minimals]
-                total = sum(weights)
-                u = rng.random() * float(total)
-                acc = 0.0
-                pick = minimals[-1]
-                for e, w in zip(minimals, weights):
-                    acc += float(w)
-                    if u < acc:
-                        pick = e
-                        break
+            pick = minimals[0] if len(minimals) == 1 else self._pick(pc, mask, minimals, rng)
             order.append(pick)
             mask ^= 1 << pick
         return tuple(order)
@@ -390,8 +394,7 @@ class _ExtensionSampler(ConditionalSampler):
         pc = self._conditioned(condition)
         if pc is None:
             return uniform_fallback(condition, self.n, rng)
-        order = self._draw_order(pc, rng)
-        return extension_to_bits(LinearExtension(order), self.free_map)
+        return extension_to_bits(LinearExtension(self._draw_order(pc, rng)), self.free_map)
 
     def _table(self, condition: Condition) -> Optional[tuple[np.ndarray, np.ndarray]]:
         """(support bits, cumulative probabilities) or None when unavailable."""
@@ -400,27 +403,14 @@ class _ExtensionSampler(ConditionalSampler):
             if pc is None or pc.k > self.enum_cap:
                 self._table_cache[condition] = None
             else:
-                exts = enumerate_extensions(pc, self.enum_cap)
-                bits = np.array(
-                    [extension_to_bits(e, self.free_map) for e in exts], dtype=np.uint8
-                )
-                probs = np.array([self._order_prob(pc, e.order) for e in exts])
+                orders, probs = _walk_extensions(pc, self.enum_cap, self._float_weights)
+                pos = np.argsort(np.array(orders), axis=1)
+                bits = (pos[:, self._pairs[:, 0]] < pos[:, self._pairs[:, 1]]).astype(np.uint8)
+                probs = np.array(probs)
                 cum = np.cumsum(probs / probs.sum())
                 cum[-1] = 1.0
                 self._table_cache[condition] = (bits, cum)
         return self._table_cache[condition]
-
-    def _order_prob(self, pc: Poset, order: tuple[int, ...]) -> float:
-        """Probability of one full sequential draw, as a product of step ratios."""
-        mask = (1 << pc.k) - 1
-        prob = 1.0
-        for e in order:
-            minimals = pc.minimal_in(mask)
-            if len(minimals) > 1:
-                weights = [self._step_weight(pc, mask, m) for m in minimals]
-                prob *= float(weights[minimals.index(e)]) / float(sum(weights))
-            mask ^= 1 << e
-        return prob
 
     def draw_many(self, condition: Condition, m: int, rng: np.random.Generator) -> np.ndarray:
         table = self._table(condition)
@@ -452,34 +442,19 @@ class UniformExtensionSampler(_ExtensionSampler, KnownDistribution):
     known distribution: every valid encoding has mass 1/|extensions|.
     """
 
-    def __init__(self, poset: Poset, enum_cap: int = ENUM_CAP, count_cap: int = COUNT_CAP):
+    def __init__(self, poset: Poset, enum_cap: int = ENUM_CAP):
         super().__init__(poset, enum_cap)
-        self.total = count_extensions(poset, count_cap)
+        self.total = count_extensions(poset)
 
-    def _step_weight(self, pc: Poset, mask: int, elem: int) -> int:
-        return pc.count_upset(mask ^ (1 << elem))
-
-    def _draw_order(self, pc: Poset, rng: np.random.Generator) -> tuple[int, ...]:
-        # Integer arithmetic keeps the choice exact (counts fit in 64 bits
-        # under the counting cap).
-        mask = (1 << pc.k) - 1
-        order = []
-        while mask:
-            minimals = pc.minimal_in(mask)
-            if len(minimals) == 1:
-                pick = minimals[0]
-            else:
-                weights = [pc.count_upset(mask ^ (1 << e)) for e in minimals]
-                t = int(rng.integers(0, sum(weights)))
-                pick = minimals[-1]
-                for e, w in zip(minimals, weights):
-                    if t < w:
-                        pick = e
-                        break
-                    t -= w
-            order.append(pick)
-            mask ^= 1 << pick
-        return tuple(order)
+    def _pick(self, pc: Poset, mask: int, minimals: list[int], rng: np.random.Generator) -> int:
+        # Integer counts keep the choice exact (they fit in 64 bits under COUNT_CAP).
+        weights = [pc.count_upset(mask ^ (1 << e)) for e in minimals]
+        t = int(rng.integers(0, sum(weights)))
+        for e, w in zip(minimals, weights):
+            if t < w:
+                return e
+            t -= w
+        return minimals[-1]
 
     def mass(self, x: Bits) -> float:
         try:
@@ -512,8 +487,8 @@ class BiasedExtensionSampler(_ExtensionSampler):
     unconditioned distribution (see the oracle helpers to quantify it).
     """
 
-    def __init__(self, poset: Poset, weights: Sequence, enum_cap: int = ENUM_CAP):
-        super().__init__(poset, enum_cap)
+    def __init__(self, poset: Poset, weights: Sequence):
+        super().__init__(poset)
         if len(weights) != poset.k:
             raise ValueError(f"need {poset.k} weights, got {len(weights)}")
         if any(w <= 0 for w in weights):
@@ -521,15 +496,20 @@ class BiasedExtensionSampler(_ExtensionSampler):
         self.weights = tuple(weights)
         self._float_weights = tuple(float(w) for w in weights)
 
-    def _step_weight(self, pc: Poset, mask: int, elem: int) -> float:
-        return self._float_weights[elem]
+    def _pick(self, pc: Poset, mask: int, minimals: list[int], rng: np.random.Generator) -> int:
+        weights = [self._float_weights[e] for e in minimals]
+        u = rng.random() * sum(weights)
+        acc = 0.0
+        for e, w in zip(minimals, weights):
+            acc += w
+            if u < acc:
+                return e
+        return minimals[-1]
 
 
-def uniform_extension_sampler(
-    p: Poset, enum_cap: int = ENUM_CAP, count_cap: int = COUNT_CAP
-) -> UniformExtensionSampler:
-    return UniformExtensionSampler(p, enum_cap, count_cap)
+def uniform_extension_sampler(p: Poset, enum_cap: int = ENUM_CAP) -> UniformExtensionSampler:
+    return UniformExtensionSampler(p, enum_cap)
 
 
-def biased_extension_sampler(p: Poset, weights: Sequence, enum_cap: int = ENUM_CAP) -> BiasedExtensionSampler:
-    return BiasedExtensionSampler(p, weights, enum_cap)
+def biased_extension_sampler(p: Poset, weights: Sequence) -> BiasedExtensionSampler:
+    return BiasedExtensionSampler(p, weights)

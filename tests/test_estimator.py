@@ -172,7 +172,7 @@ def test_marginal_error_aggregation_probe(figure1):
 
 
 def test_estimate_mass_log_product_path_for_wide_cubes():
-    # above 32 coordinates the product switches to exp(sum(log))
+    # a wide cube (n = 40): p_hat is the plain product of the marginals
     n = 40
     sampler = ProductSampler([0.5] * n)
     params = EstimatorParams(

@@ -2,6 +2,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -283,6 +284,53 @@ def test_conditioned_draws_respect_contradictory_condition_fallback():
         assert (draws[:, i] == b).all()
     for free in (2, 4, 5):
         assert 0.45 < draws[:, free].mean() < 0.55
+
+
+def test_conditioned_tables_match_oracle(figure1):
+    # every prefix-conditioned support table, for both samplers, against the
+    # exact distribution of the conditioned poset; the 3-antichain with
+    # weights (1, 2, 4) is a poset where greedy conditioning differs from
+    # conditioning the unconditioned distribution
+    weights = (1, 2, 4, 3, 5, 7)
+    for p in [q for q in small_posets() if q.k <= 6] + [figure1]:
+        w = weights[: p.k]
+        conds = {
+            prefix_condition(x, i)
+            for x in exact_distribution(p, "uniform").support
+            for i in range(p.free_map.n + 1)
+        }
+        for kind, sampler in (
+            ("uniform", uniform_extension_sampler(p)),
+            ("biased", biased_extension_sampler(p, w)),
+        ):
+            for cond in conds:
+                bits, cum = sampler._table(cond)
+                probs = np.diff(cum, prepend=0.0)
+                rows = [tuple(int(b) for b in row) for row in bits]
+                exact = exact_distribution(
+                    apply_condition(p, cond), kind, w, free_map=p.free_map
+                ).support
+                assert len(rows) == len(set(rows)) and set(rows) == set(exact)
+                for row, prob in zip(rows, probs):
+                    assert abs(prob - float(exact[row])) <= 1e-12
+    # 1<2, 2<3, 3<1 on the 4-antichain is cyclic: no table
+    cond = make_condition([(0, 1), (3, 1), (1, 0)], 6)
+    p = Poset.from_relations(4, [])
+    assert uniform_extension_sampler(p)._table(cond) is None
+    assert biased_extension_sampler(p, (1, 2, 4, 3))._table(cond) is None
+
+
+def test_biased_single_draw_walk_matches_oracle(figure1):
+    weights = (3, 1, 5, 2)
+    sampler = biased_extension_sampler(figure1, weights)
+    dist = exact_distribution(figure1, "biased", weights)
+    rng = rng_stream(31)
+    draws = 20_000
+    counts = Counter(sampler.draw(FULL_CUBE, rng) for _ in range(draws))
+    assert set(counts) <= set(dist.support)
+    for x, mass in dist.support.items():
+        p = float(mass)
+        assert abs(counts[x] / draws - p) <= 3 * (p * (1 - p) / draws) ** 0.5
 
 
 def test_uniform_conditional_marginals_match_oracle(figure1):

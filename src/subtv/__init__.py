@@ -28,7 +28,7 @@ from .estimator import (
     estimate_mass,
     estimate_tv,
 )
-from .gbas import GbasResult, gbas_estimate, sample_exp1
+from .gbas import GbasResult, gbas_estimate
 from .oracle import ExactDistribution, exact_distribution, exact_marginal, exact_tv
 from .posets import (
     BiasedExtensionSampler,
@@ -97,7 +97,6 @@ __all__ = [
     "parse_poset",
     "prefix_condition",
     "rng_stream",
-    "sample_exp1",
     "uniform_extension_sampler",
     "uniform_fallback",
 ]

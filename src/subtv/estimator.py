@@ -145,10 +145,13 @@ def estimate_tv(
     """
     if sampler.n != known.n:
         raise DimensionMismatch(f"sampler has n={sampler.n}, known has n={known.n}")
+    if threads < 1:
+        raise InvalidParameter(f"threads must be at least 1, got {threads}")
+    if max_total_samples is not None and max_total_samples < 0:
+        raise InvalidParameter(f"max_total_samples must be at least 0, got {max_total_samples}")
     params = derive_params(sampler.n, zeta, delta)
     terms: list[float] = []
     total = 0
-    chunk = max(1, threads)
     pending = list(range(params.alpha))
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     try:
@@ -160,7 +163,7 @@ def estimate_tv(
                     draws=total,
                     partial_terms=terms,
                 )
-            batch, pending = pending[:chunk], pending[chunk:]
+            batch, pending = pending[:threads], pending[threads:]
             if pool is not None:
                 results = list(
                     pool.map(lambda j: _one_term(sampler, known, params, seed, j), batch)

@@ -1,17 +1,18 @@
 """Relative-error estimation of one conditional bit marginal.
 
-The scheme races successes against a Gamma clock: draw conditional samples,
-count draws whose target coordinate equals ``head``, and add an Exp(1)
-variate to an accumulator ``r`` on every draw (including the final one).
-Once the success count reaches ``k`` the estimate is (k - 1) / r, which is
-an unbiased estimator of the marginal p.  For k >= 3 ln(2/delta) / eps^2
-the output is within a (1 +/- eps) multiplicative factor of p with
-probability at least 1 - delta, and the expected draw count is k / p.
+The scheme races successes against a Gamma clock: draw conditional samples
+and count draws whose target coordinate equals ``head`` until the k-th
+success, then draw the clock r ~ Gamma(draws, 1).  The clock is the sum of
+one Exp(1) variate per draw; those variates are independent of the draws,
+so given the draw count it is exactly Gamma(draws, 1) and one variate
+suffices.  The estimate (k - 1) / r is an unbiased estimator of the
+marginal p.  For k >= 3 ln(2/delta) / eps^2 the output is within a
+(1 +/- eps) multiplicative factor of p with probability at least 1 - delta,
+and the expected draw count is k / p.
 
 Draws are batched through ``ConditionalSampler.draw_coordinate`` so that
-samplers with a vectorized path keep the inner loop in numpy; the batch is
-truncated at the k-th success, so the accumulated state is exactly that of
-the one-draw-at-a-time loop.
+samplers with a vectorized path keep the inner loop in numpy; the draw count
+stops at the k-th success, exactly as in the one-draw-at-a-time loop.
 """
 
 from __future__ import annotations
@@ -24,25 +25,8 @@ import numpy as np
 from .core import Condition, ConditionalSampler
 from .errors import BudgetExhausted, InvalidParameter
 
-# Anti-hang ceiling: generous enough for any marginal the estimator can
-# legitimately meet (p down to ~1e-6 per 1000 expected batches).
-EPS_FLOOR = 1e-6
-
 # Per-call allocation cap, not a draw budget.
 _MAX_BATCH = 1 << 22
-
-
-def default_max_draws(k: int) -> int:
-    return int(1000 * k / EPS_FLOOR)
-
-
-def sample_exp1(rng: np.random.Generator) -> float:
-    """One Exp(1) variate via the inverse CDF -ln(1 - u), u uniform on [0, 1)."""
-    return -math.log1p(-rng.random())
-
-
-def _exp1_batch(m: int, rng: np.random.Generator) -> np.ndarray:
-    return -np.log1p(-rng.random(m))
 
 
 @dataclass(frozen=True)
@@ -70,8 +54,9 @@ def gbas_estimate(
 ) -> GbasResult:
     """Estimate p = Pr[draw(condition)[coord] == head] from k successes.
 
-    Raises BudgetExhausted if max_draws sampler calls pass before the k-th
-    success, which signals p ~ 0 or a broken sampler.
+    max_draws caps the sampler calls; None means no cap.  Raises
+    BudgetExhausted if max_draws calls pass before the k-th success, which
+    signals p ~ 0 or a broken sampler.
     """
     if k < 2:
         raise InvalidParameter(f"k must be at least 2, got {k}")
@@ -79,32 +64,26 @@ def gbas_estimate(
         raise InvalidParameter(f"head must be 0 or 1, got {head}")
     if not condition.is_free(coord):
         raise InvalidParameter(f"coordinate {coord} is fixed by the condition")
-    limit = default_max_draws(k) if max_draws is None else int(max_draws)
+    limit = math.inf if max_draws is None else int(max_draws)
 
     s = 0
-    r = 0.0
     draws = 0
     batch = min(4 * k, limit, _MAX_BATCH)
-    while s < k:
+    while True:
         if draws >= limit:
             raise BudgetExhausted(
                 f"{draws} draws produced only {s}/{k} successes", draws=draws
             )
         m = int(min(batch, limit - draws))
         values = sampler.draw_coordinate(condition, coord, m, rng)
-        hits = np.asarray(values) == head
-        exps = _exp1_batch(m, rng)
-        csum = np.cumsum(hits)
-        pos = int(np.searchsorted(csum, k - s))
-        if pos < m:
-            # k-th success lands inside this batch; truncate at it.
-            s = k
-            draws += pos + 1
-            r += float(exps[: pos + 1].sum())
-        else:
-            s += int(csum[-1])
-            draws += m
-            r += float(exps.sum())
-            rate = max(s / draws, 1e-9)
-            batch = min(max(1024, int(1.5 * (k - s) / rate)), _MAX_BATCH)
-    return GbasResult(p_hat=(k - 1) / r, draws=draws, r=r, s=s)
+        hits = np.flatnonzero(np.asarray(values) == head)
+        if s + len(hits) >= k:
+            # The k-th success lands inside this batch; stop the count at it.
+            draws += int(hits[k - s - 1]) + 1
+            break
+        s += len(hits)
+        draws += m
+        rate = max(s / draws, 1e-9)
+        batch = min(max(1024, int(1.5 * (k - s) / rate)), _MAX_BATCH)
+    r = rng.gamma(draws)
+    return GbasResult(p_hat=(k - 1) / r, draws=draws, r=r, s=k)

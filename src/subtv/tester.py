@@ -60,8 +60,8 @@ def identity_test(
         raise InvalidParameter(
             f"need 0 < epsilon < eta <= 1, got epsilon={epsilon}, eta={eta}"
         )
-    if not 0.0 < delta <= 0.5:
-        raise InvalidParameter(f"delta must lie in (0, 1/2], got {delta}")
+    if not 0.0 < delta < 0.5:
+        raise InvalidParameter(f"delta must lie in (0, 1/2), got {delta}")
     params = TesterParams(
         epsilon=epsilon,
         eta=eta,

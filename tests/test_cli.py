@@ -156,6 +156,12 @@ def test_budget_exhaustion_gives_partial_report(figure1_path, capsys):
     assert report["samples"] >= 5000
 
 
+def test_bad_threads_or_budget_is_usage_error(figure1_path):
+    for command in ("estimate", "test"):
+        for flag in (["--threads", "0"], ["--max-samples", "-5"]):
+            assert run_cli([command, figure1_path, "--sampler", "uniform", *flag]) == 1
+
+
 def test_cli_determinism_including_threads(figure1_path, capsys):
     argv = [
         "estimate",

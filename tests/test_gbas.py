@@ -3,32 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from subtv import FULL_CUBE, ProductSampler, gbas_estimate, make_condition, rng_stream, sample_exp1
+from subtv import FULL_CUBE, ProductSampler, gbas_estimate, make_condition, rng_stream
 from subtv.errors import BudgetExhausted, InvalidParameter
 
 
-class _FixedUniform:
-    """Stub generator returning a scripted uniform value."""
+class _ScriptedHits:
+    """Stub sampler: draw i (counted across calls) succeeds at every 10th
+    draw for the first 2000 draws and at every 100th after that."""
 
-    def __init__(self, value):
-        self.value = value
+    n = 1
 
-    def random(self, size=None):
-        if size is None:
-            return self.value
-        return np.full(size, self.value)
+    def __init__(self):
+        self.seen = 0
 
-
-def test_sample_exp1_inverse_cdf_identity():
-    assert sample_exp1(_FixedUniform(0.5)) == pytest.approx(math.log(2))
-    assert sample_exp1(_FixedUniform(0.0)) == 0.0
-
-
-def test_sample_exp1_moments_and_support():
-    rng = rng_stream(100)
-    draws = np.array([sample_exp1(rng) for _ in range(100_000)])
-    assert (draws >= 0).all()
-    assert 0.98 <= draws.mean() <= 1.02
+    def draw_coordinate(self, condition, coord, m, rng):
+        i = np.arange(self.seen, self.seen + m) + 1
+        self.seen += m
+        return np.where(i <= 2000, i % 10 == 0, i % 100 == 0).astype(np.uint8)
 
 
 def test_parameter_validation():
@@ -103,3 +94,30 @@ def test_budget_exhausted_on_zero_probability():
     sampler = ProductSampler([1.0])
     with pytest.raises(BudgetExhausted):
         gbas_estimate(sampler, FULL_CUBE, 0, 0, 10, rng_stream(0), max_draws=5000)
+
+
+def test_draws_stop_at_kth_success_across_batches():
+    # 200 successes in the first 2000 draws, then the 300 more up to k = 500
+    # land at draws 2100, 2200, ..., 32000; the rate drop forces several batches
+    sampler = _ScriptedHits()
+    res = gbas_estimate(sampler, FULL_CUBE, 0, 1, 500, rng_stream(5))
+    assert res.draws == 32000
+    assert res.s == 500
+    assert sampler.seen > res.draws
+    capped = gbas_estimate(_ScriptedHits(), FULL_CUBE, 0, 1, 500, rng_stream(5), max_draws=32000)
+    assert capped.draws == 32000
+    with pytest.raises(BudgetExhausted):
+        gbas_estimate(_ScriptedHits(), FULL_CUBE, 0, 1, 500, rng_stream(5), max_draws=31999)
+
+
+def test_clock_is_gamma_of_the_draw_count():
+    # given draws, r ~ Gamma(draws, 1): r - draws has mean 0 and variance draws
+    sampler = ProductSampler([0.5])
+    runs = [
+        gbas_estimate(sampler, FULL_CUBE, 0, 1, 10, rng_stream(5000 + t)) for t in range(4000)
+    ]
+    gap = np.array([res.r - res.draws for res in runs])
+    mean_draws = float(np.mean([res.draws for res in runs]))
+    se = gap.std(ddof=1) / math.sqrt(len(gap))
+    assert abs(gap.mean()) <= 4 * se
+    assert abs(gap.var(ddof=1) - mean_draws) <= 0.1 * mean_draws

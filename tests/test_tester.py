@@ -28,12 +28,18 @@ def test_parameter_arithmetic(figure1):
 
 @pytest.mark.parametrize(
     "eps,eta,delta",
-    [(0.5, 0.4, 0.1), (0.4, 0.4, 0.1), (0.0, 0.5, 0.1), (0.1, 1.1, 0.1), (0.1, 0.5, 0.6), (0.1, 0.5, 0.0)],
+    [
+        (0.5, 0.4, 0.1), (0.4, 0.4, 0.1), (0.0, 0.5, 0.1), (0.1, 1.1, 0.1), (0.1, 0.5, 0.6),
+        (0.1, 0.5, 0.0), (0.1, 0.5, 0.5),
+    ],
 )
 def test_parameter_validation(figure1, eps, eta, delta):
     known = uniform_extension_sampler(figure1)
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(InvalidParameter) as excinfo:
         identity_test(known, known, eps, eta, delta)
+    if not 0.0 < delta < 0.5:
+        # a bad delta is reported as the caller passed it, not doubled
+        assert f"got {delta}" in str(excinfo.value)
 
 
 def test_decision_is_pure_threshold_of_estimate(figure1):

@@ -157,11 +157,11 @@ def _emit(report: dict, fmt: str, out=None) -> None:
     )
 
 
-def _partial_report(args, dim, params, exc: BudgetExhausted) -> dict:
+def _partial_report(args, dim, params, exc: BudgetExhausted, wall_time: float) -> dict:
     terms = exc.partial_terms
     estd = sum(terms) / len(terms) if terms else None
     return _report(
-        args.instance, dim, estd, exc.draws, None, params, args.seed, 0.0, partial=True
+        args.instance, dim, estd, exc.draws, None, params, args.seed, wall_time, partial=True
     )
 
 
@@ -183,7 +183,8 @@ def cmd_estimate(args) -> int:
     except BudgetExhausted as exc:
         params = {"zeta": args.zeta, "delta": args.delta, "sampler": args.sampler,
                   "threads": args.threads, "max_samples": args.max_samples}
-        _emit(_partial_report(args, unknown.n, params, exc), args.format)
+        wall = time.perf_counter() - started
+        _emit(_partial_report(args, unknown.n, params, exc, wall), args.format)
         return EXIT_BUDGET
     wall = time.perf_counter() - started
     params = asdict(report.params) | {
@@ -217,7 +218,8 @@ def cmd_test(args) -> int:
         params = {"epsilon": args.epsilon, "eta": args.eta, "delta": args.delta,
                   "sampler": args.sampler, "threads": args.threads,
                   "max_samples": args.max_samples}
-        _emit(_partial_report(args, unknown.n, params, exc), args.format)
+        wall = time.perf_counter() - started
+        _emit(_partial_report(args, unknown.n, params, exc, wall), args.format)
         return EXIT_BUDGET
     wall = time.perf_counter() - started
     inner = {f"est_{k}": v for k, v in asdict(verdict.estimate.params).items()}

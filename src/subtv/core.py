@@ -144,10 +144,17 @@ def evaluate_mass(dist: KnownDistribution, x: Bits) -> float:
 
 def uniform_fallback(condition: Condition, n: int, rng: np.random.Generator) -> Bits:
     """Uniform draw from a zero-mass subcube: fixed bits forced, free bits fair coins."""
-    bits = list(rng.integers(0, 2, size=n))
+    return tuple(uniform_fallback_many(condition, n, 1, rng)[0].tolist())
+
+
+def uniform_fallback_many(
+    condition: Condition, n: int, m: int, rng: np.random.Generator
+) -> np.ndarray:
+    """m uniform_fallback draws as an (m, n) uint8 array."""
+    out = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
     for i, b in condition.fixed:
-        bits[i] = b
-    return tuple(int(v) for v in bits)
+        out[:, i] = b
+    return out
 
 
 class ProductSampler(ConditionalSampler, KnownDistribution):

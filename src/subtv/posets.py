@@ -12,14 +12,16 @@ labels are 1-based.
 
 from __future__ import annotations
 
+import functools
 import json
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import Bits, Condition, ConditionalSampler, KnownDistribution, uniform_fallback
+from .core import Bits, Condition, ConditionalSampler, KnownDistribution, uniform_fallback_many
 from .errors import (
     ContradictionError,
     CycleError,
@@ -340,6 +342,61 @@ def encode_cnf(p: Poset) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _remaining_counts(below: np.ndarray) -> np.ndarray:
+    """counts[mask]: the number of linear orders of the elements in mask, for every mask.
+
+    Dynamic programming over subsets by size: counts[mask] sums
+    counts[mask - e] over the minimal elements e of mask.  Dense over all
+    2^k masks; int64 is exact for k <= COUNT_CAP, since 20! < 2^63.
+    """
+    k = len(below)
+    masks = np.arange(1 << k, dtype=np.int64)
+    by_size = np.argsort(np.bitwise_count(masks), kind="stable")
+    starts = np.searchsorted(np.bitwise_count(by_size), np.arange(k + 2))
+    counts = np.zeros(1 << k, dtype=np.int64)
+    counts[0] = 1
+    for size in range(1, k + 1):
+        level = by_size[starts[size] : starts[size + 1]]
+        total = np.zeros(len(level), dtype=np.int64)
+        for e in range(k):
+            minimal = ((level >> e) & 1 == 1) & ((level & below[e]) == 0)
+            total += np.where(minimal, counts[level ^ (1 << e)], 0)
+        counts[level] = total
+    return counts
+
+
+# Rows of one step of the batched walk: its peak memory is O(_WALK_CHUNK * k).
+_WALK_CHUNK = 2048
+# The walk's remaining-element sets are int64 masks.
+_MASK_CAP = 63
+
+
+def _cache_entries(k: int) -> int:
+    """Conditions kept per sampler: 128, fewer above k = 16, where the
+    uniform walk's count tables (8 * 2^k bytes each) would pass 64 MB."""
+    return max(1, min(128, (64 << 20) >> (k + 3)))
+
+
+# The walk's step weights: (each walk's remaining-element mask, (k, walks)
+# minimal-element flags) -> each element's weight in each walk.
+_StepWeights = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+@dataclass(frozen=True)
+class _Support:
+    """What the draws under one condition need.
+
+    Up to enum_cap elements, the exact support table: each extension's free
+    bits with the cumulative probability of drawing it.  Above, the batched
+    walk's inputs: the conditioned poset's strict-predecessor masks and the
+    sampler's step weights, zero where an element is not minimal.
+    """
+
+    table: Optional[tuple[np.ndarray, np.ndarray]] = None
+    below: Optional[np.ndarray] = None
+    step_weights: Optional[_StepWeights] = None
+
+
 class _ExtensionSampler(ConditionalSampler):
     """Shared machinery for self-reducible extension samplers.
 
@@ -349,86 +406,115 @@ class _ExtensionSampler(ConditionalSampler):
     contradictory condition means a zero-mass subcube and falls back to
     uniform bits on the free coordinates.
 
-    A single draw(), and every draw once the conditioned poset has more
-    than enum_cap elements, is the sequential walk of _draw_order, with
-    the subclass's _pick choosing each step.  Other batched draws come from
-    an exact support table per condition, built in one backtracking pass
-    that records each extension with the walk's probability of drawing it.
-    Conditioned posets and tables are memoized; thread races are benign.
+    Every draw, single or batched, takes one of two paths.  When the poset
+    has at most enum_cap elements it is a lookup in an exact support table
+    per condition, built in one backtracking pass that records each
+    extension with the walk's probability of drawing it.  Above enum_cap it
+    is the batched walk: all rows of a call advance together, one element
+    per step, each picking among its current minimal elements by the
+    subclass's step weights.  Both give the same law, so enum_cap bounds
+    the memory of a table (one row per extension), not the draw's speed.
+    Each sampler keeps the last conditions' supports in an LRU cache.
     """
 
     _float_weights: Optional[tuple[float, ...]] = None  # walk weights; None is uniform
 
     def __init__(self, poset: Poset, enum_cap: int = ENUM_CAP):
+        if poset.k > _MASK_CAP:
+            raise TooLarge(f"sampling needs k <= {_MASK_CAP}, got {poset.k}")
         self.poset = poset
         self.free_map = poset.free_map
         self.n = self.free_map.n
         self.enum_cap = enum_cap
         self._pairs = np.array(self.free_map.pairs, dtype=np.intp).reshape(-1, 2)
-        self._cond_cache: dict[Condition, Optional[Poset]] = {}
-        self._table_cache: dict[Condition, Optional[tuple[np.ndarray, np.ndarray]]] = {}
+        # The cache reaches the sampler through a weak reference: a bound
+        # method would make a cycle that keeps a dropped sampler's tables
+        # alive until the garbage collector's next full pass.
+        ref = weakref.ref(self)
+        self._support = functools.lru_cache(maxsize=_cache_entries(poset.k))(
+            lambda condition: ref()._build_support(condition)
+        )
 
-    def _conditioned(self, condition: Condition) -> Optional[Poset]:
-        if condition not in self._cond_cache:
-            try:
-                self._cond_cache[condition] = apply_condition(self.poset, condition)
-            except ContradictionError:
-                self._cond_cache[condition] = None
-        return self._cond_cache[condition]
+    def _build_support(self, condition: Condition) -> Optional[_Support]:
+        """The support under a condition; None when the condition is contradictory."""
+        try:
+            pc = apply_condition(self.poset, condition)
+        except ContradictionError:
+            return None
+        if pc.k <= self.enum_cap:
+            orders, probs = _walk_extensions(pc, self.enum_cap, self._float_weights)
+            pos = np.argsort(np.array(orders), axis=1)
+            bits = (pos[:, self._pairs[:, 0]] < pos[:, self._pairs[:, 1]]).astype(np.uint8)
+            probs = np.array(probs)
+            cum = np.cumsum(probs / probs.sum())
+            cum[-1] = 1.0
+            return _Support(table=(bits, cum))
+        below = np.array(pc.below_masks, dtype=np.int64)
+        return _Support(below=below, step_weights=self._step_weights(below))
 
-    def _pick(self, pc: Poset, mask: int, minimals: list[int], rng: np.random.Generator) -> int:
-        raise NotImplementedError  # the walk's next element among two or more minimal ones
+    def _step_weights(self, below: np.ndarray) -> _StepWeights:
+        raise NotImplementedError  # the walk's step weights on the poset with these masks
 
-    def _draw_order(self, pc: Poset, rng: np.random.Generator) -> tuple[int, ...]:
-        """Sequential draw: repeatedly pick the next element among the minimal ones."""
-        mask = (1 << pc.k) - 1
-        order = []
-        while mask:
-            minimals = pc.minimal_in(mask)
-            pick = minimals[0] if len(minimals) == 1 else self._pick(pc, mask, minimals, rng)
-            order.append(pick)
-            mask ^= 1 << pick
-        return tuple(order)
+    def _walk(self, support: _Support, m: int, rng: np.random.Generator):
+        """Yield (first row, positions) for m walks, _WALK_CHUNK walks at a time.
+
+        positions[e, r] is the step at which walk r placed element e; arrays
+        are element-major, so each per-element operation runs over all walks.
+        At each step the pick is the first element whose cumulative weight
+        exceeds u * total: u uniform for float weights, an exact integer in
+        [0, total) for integer counts.  If rounding leaves no weight above
+        it, the pick is the walk's last minimal element.
+        """
+        below, weights = support.below, support.step_weights
+        k = len(below)
+        bit = np.left_shift(1, np.arange(k, dtype=np.int64))[:, None]
+        need = bit | below[:, None]  # e is minimal in mask iff mask & need[e] == bit[e]
+        for first in range(0, m, _WALK_CHUNK):
+            walks = min(_WALK_CHUNK, m - first)
+            mask = np.full(walks, (1 << k) - 1, dtype=np.int64)
+            pos = np.empty((k, walks), dtype=np.int8)
+            col = np.arange(walks)
+            for step in range(k):
+                minimal = (mask & need) == bit
+                cum = weights(mask, minimal)
+                for e in range(1, k):
+                    cum[e] += cum[e - 1]
+                if cum.dtype.kind == "i":
+                    u = rng.integers(0, cum[-1])
+                else:
+                    u = rng.random(walks) * cum[-1]
+                pick = np.add.reduce(cum <= u, axis=0, dtype=np.int8)
+                stuck = pick == k
+                if stuck.any():
+                    pick[stuck] = k - 1 - minimal[::-1, stuck].argmax(axis=0)
+                pos[pick, col] = step
+                mask ^= bit[pick, 0]
+            yield first, pos
+
+    def _draw(self, condition: Condition, cols, m: int, rng: np.random.Generator) -> np.ndarray:
+        """Free bits cols (a slice, or one coordinate) of m conditional draws."""
+        support = self._support(condition)
+        if support is None:
+            return uniform_fallback_many(condition, self.n, m, rng)[:, cols]
+        if support.table is not None:
+            bits, cum = support.table
+            return bits[np.searchsorted(cum, rng.random(m), side="right"), cols]
+        pairs = self._pairs[cols]
+        out = np.empty((m,) + pairs.shape[:-1], dtype=np.uint8)
+        for first, pos in self._walk(support, m, rng):
+            out[first : first + pos.shape[1]] = (pos[pairs[..., 0]] < pos[pairs[..., 1]]).T
+        return out
 
     def draw(self, condition: Condition, rng: np.random.Generator) -> Bits:
-        pc = self._conditioned(condition)
-        if pc is None:
-            return uniform_fallback(condition, self.n, rng)
-        return extension_to_bits(LinearExtension(self._draw_order(pc, rng)), self.free_map)
-
-    def _table(self, condition: Condition) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """(support bits, cumulative probabilities) or None when unavailable."""
-        if condition not in self._table_cache:
-            pc = self._conditioned(condition)
-            if pc is None or pc.k > self.enum_cap:
-                self._table_cache[condition] = None
-            else:
-                orders, probs = _walk_extensions(pc, self.enum_cap, self._float_weights)
-                pos = np.argsort(np.array(orders), axis=1)
-                bits = (pos[:, self._pairs[:, 0]] < pos[:, self._pairs[:, 1]]).astype(np.uint8)
-                probs = np.array(probs)
-                cum = np.cumsum(probs / probs.sum())
-                cum[-1] = 1.0
-                self._table_cache[condition] = (bits, cum)
-        return self._table_cache[condition]
+        return tuple(self._draw(condition, slice(None), 1, rng)[0].tolist())
 
     def draw_many(self, condition: Condition, m: int, rng: np.random.Generator) -> np.ndarray:
-        table = self._table(condition)
-        if table is None:
-            return super().draw_many(condition, m, rng)
-        bits, cum = table
-        idx = np.searchsorted(cum, rng.random(m), side="right")
-        return bits[idx]
+        return self._draw(condition, slice(None), m, rng)
 
     def draw_coordinate(
         self, condition: Condition, coord: int, m: int, rng: np.random.Generator
     ) -> np.ndarray:
-        table = self._table(condition)
-        if table is None:
-            return super().draw_coordinate(condition, coord, m, rng)
-        bits, cum = table
-        idx = np.searchsorted(cum, rng.random(m), side="right")
-        return bits[idx, coord]
+        return self._draw(condition, coord, m, rng)
 
 
 class UniformExtensionSampler(_ExtensionSampler, KnownDistribution):
@@ -446,15 +532,12 @@ class UniformExtensionSampler(_ExtensionSampler, KnownDistribution):
         super().__init__(poset, enum_cap)
         self.total = count_extensions(poset)
 
-    def _pick(self, pc: Poset, mask: int, minimals: list[int], rng: np.random.Generator) -> int:
-        # Integer counts keep the choice exact (they fit in 64 bits under COUNT_CAP).
-        weights = [pc.count_upset(mask ^ (1 << e)) for e in minimals]
-        t = int(rng.integers(0, sum(weights)))
-        for e, w in zip(minimals, weights):
-            if t < w:
-                return e
-            t -= w
-        return minimals[-1]
+    def _step_weights(self, below: np.ndarray) -> _StepWeights:
+        # Each minimal element weighs the number of extensions that start with
+        # it; integer counts keep the choice exact.
+        counts = _remaining_counts(below)
+        bit = np.left_shift(1, np.arange(len(below), dtype=np.int64))[:, None]
+        return lambda mask, minimal: np.where(minimal, counts[mask ^ bit], 0)
 
     def mass(self, x: Bits) -> float:
         try:
@@ -465,9 +548,10 @@ class UniformExtensionSampler(_ExtensionSampler, KnownDistribution):
 
     def conditional_marginal(self, condition: Condition, coord: int) -> Fraction:
         """Exact Pr[bit coord == 1 | condition], by counting extensions."""
-        pc = self._conditioned(condition)
-        if pc is None:
-            raise ZeroMassPrefix("condition is contradictory")
+        try:
+            pc = apply_condition(self.poset, condition)
+        except ContradictionError:
+            raise ZeroMassPrefix("condition is contradictory") from None
         denom = count_extensions(pc)
         i, j = self.free_map.pairs[coord]
         try:
@@ -496,15 +580,9 @@ class BiasedExtensionSampler(_ExtensionSampler):
         self.weights = tuple(weights)
         self._float_weights = tuple(float(w) for w in weights)
 
-    def _pick(self, pc: Poset, mask: int, minimals: list[int], rng: np.random.Generator) -> int:
-        weights = [self._float_weights[e] for e in minimals]
-        u = rng.random() * sum(weights)
-        acc = 0.0
-        for e, w in zip(minimals, weights):
-            acc += w
-            if u < acc:
-                return e
-        return minimals[-1]
+    def _step_weights(self, below: np.ndarray) -> _StepWeights:
+        weights = np.array(self._float_weights)[:, None]
+        return lambda mask, minimal: np.where(minimal, weights, 0.0)
 
 
 def uniform_extension_sampler(p: Poset, enum_cap: int = ENUM_CAP) -> UniformExtensionSampler:

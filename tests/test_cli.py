@@ -154,6 +154,7 @@ def test_budget_exhaustion_gives_partial_report(figure1_path, capsys):
     report = _json_report(capsys)
     assert report["partial"] is True
     assert report["samples"] >= 5000
+    assert report["wall_time"] > 0
 
 
 def test_bad_threads_or_budget_is_usage_error(figure1_path):

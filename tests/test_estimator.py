@@ -11,10 +11,12 @@ from subtv import (
     estimate_tv,
     exact_distribution,
     exact_tv,
+    parse_poset,
     rng_stream,
     uniform_extension_sampler,
 )
 from subtv.errors import BudgetExhausted, DimensionMismatch, InvalidParameter
+from subtv.instances import generate_instance, instance_to_json
 
 
 def test_derive_params_worked_example():
@@ -105,6 +107,21 @@ def test_estimate_tv_deterministic_across_threads(figure1):
     assert a == b == c
     d = estimate_tv(unknown, known, 0.3, 0.2, seed=10)
     assert d != a
+
+
+def test_estimate_tv_on_the_walk_path():
+    # k = 11 > ENUM_CAP, so every draw is the batched walk
+    poset = parse_poset(instance_to_json(generate_instance("avgdeg", "3", 11, 0)))
+    unknown = biased_extension_sampler(poset, [1] * poset.k)
+    known = uniform_extension_sampler(poset)
+    exact = exact_tv(
+        exact_distribution(poset, "biased", [1] * poset.k, cap=poset.k),
+        exact_distribution(poset, "uniform", cap=poset.k),
+    )
+    one = estimate_tv(unknown, known, zeta=0.95, delta=0.5, seed=3)
+    two = estimate_tv(unknown, known, zeta=0.95, delta=0.5, seed=3, threads=2)
+    assert abs(one.dtv_estimate - float(exact)) <= 0.95
+    assert one == two
 
 
 def test_estimate_tv_dimension_mismatch(figure1, antichain3):

@@ -37,7 +37,9 @@ from subtv.errors import (
     ParseError,
     TooLarge,
 )
+from subtv.instances import generate_instance, instance_to_json
 from subtv.oracle import conditioned
+from subtv.posets import _WALK_CHUNK
 
 from conftest import small_posets
 
@@ -228,7 +230,8 @@ def test_uniform_sampler_frequencies(figure1):
 
 
 def test_uniform_sampler_sequential_path_matches(figure1):
-    sampler = uniform_extension_sampler(figure1)
+    # single draws through the walk (enum_cap=0 turns the tables off)
+    sampler = uniform_extension_sampler(figure1, enum_cap=0)
     rng = rng_stream(22)
     counts = Counter(bits_to_str(sampler.draw(FULL_CUBE, rng)) for _ in range(9000))
     for key in ("11", "10", "01"):
@@ -304,7 +307,7 @@ def test_conditioned_tables_match_oracle(figure1):
             ("biased", biased_extension_sampler(p, w)),
         ):
             for cond in conds:
-                bits, cum = sampler._table(cond)
+                bits, cum = sampler._support(cond).table
                 probs = np.diff(cum, prepend=0.0)
                 rows = [tuple(int(b) for b in row) for row in bits]
                 exact = exact_distribution(
@@ -316,13 +319,14 @@ def test_conditioned_tables_match_oracle(figure1):
     # 1<2, 2<3, 3<1 on the 4-antichain is cyclic: no table
     cond = make_condition([(0, 1), (3, 1), (1, 0)], 6)
     p = Poset.from_relations(4, [])
-    assert uniform_extension_sampler(p)._table(cond) is None
-    assert biased_extension_sampler(p, (1, 2, 4, 3))._table(cond) is None
+    assert uniform_extension_sampler(p)._support(cond) is None
+    assert biased_extension_sampler(p, (1, 2, 4, 3))._support(cond) is None
 
 
 def test_biased_single_draw_walk_matches_oracle(figure1):
     weights = (3, 1, 5, 2)
     sampler = biased_extension_sampler(figure1, weights)
+    sampler.enum_cap = 0  # single draws through the walk
     dist = exact_distribution(figure1, "biased", weights)
     rng = rng_stream(31)
     draws = 20_000
@@ -331,6 +335,119 @@ def test_biased_single_draw_walk_matches_oracle(figure1):
     for x, mass in dist.support.items():
         p = float(mass)
         assert abs(counts[x] / draws - p) <= 3 * (p * (1 - p) / draws) ** 0.5
+
+
+def _chi2_bound(df):
+    # Wilson-Hilferty upper quantile of chi-square(df) at z = 4 (p ~ 3e-5)
+    return df * (1 - 2 / (9 * df) + 4 * (2 / (9 * df)) ** 0.5) ** 3
+
+
+def _assert_matches(draws, exact):
+    """draws (rows of free bits) lie in the exact support and pass a chi-square bound."""
+    counts = Counter(tuple(row) for row in draws.tolist())
+    assert set(counts) <= set(exact)
+    m = len(draws)
+    chi2 = sum((counts[x] - m * float(p)) ** 2 / (m * float(p)) for x, p in exact.items())
+    if len(exact) > 1:
+        assert chi2 <= _chi2_bound(len(exact) - 1), (chi2, len(exact))
+
+
+def _avgdeg_3_011_0():
+    # k = 11 > ENUM_CAP, 60 extensions; the oracle enumerates it with cap=11
+    return parse_poset(instance_to_json(generate_instance("avgdeg", "3", 11, 0)))
+
+
+def test_walk_matches_oracle_on_prefix_conditions(figure1):
+    # every prefix-conditioned walk, for both samplers, against the exact
+    # distribution of the conditioned poset (as in the table test above)
+    weights = (1, 2, 4, 3, 5, 7, 1, 2, 4, 3, 5)
+    rng = rng_stream(41)
+    for p in [q for q in small_posets() if q.k <= 6] + [figure1, _avgdeg_3_011_0()]:
+        w = weights[: p.k]
+        conds = sorted(
+            {
+                prefix_condition(x, i)
+                for x in exact_distribution(p, "uniform", cap=p.k).support
+                for i in range(p.free_map.n + 1)
+            },
+            key=lambda c: c.fixed,
+        )
+        biased = biased_extension_sampler(p, w)
+        biased.enum_cap = 0
+        for kind, sampler in (("uniform", uniform_extension_sampler(p, enum_cap=0)), ("biased", biased)):
+            for cond in conds:
+                exact = exact_distribution(
+                    apply_condition(p, cond), kind, w, cap=p.k, free_map=p.free_map
+                ).support
+                _assert_matches(sampler.draw_many(cond, 2000, rng), exact)
+
+
+def test_walk_matches_oracle_above_enum_cap():
+    # the default samplers walk at k = 11; m spans several walk chunks and
+    # ends inside one
+    p = _avgdeg_3_011_0()
+    weights = (1, 2, 4, 3, 5, 7, 1, 2, 4, 3, 5)
+    m = 10 * _WALK_CHUNK + 7
+    for kind, sampler in (
+        ("uniform", uniform_extension_sampler(p)),
+        ("biased", biased_extension_sampler(p, weights)),
+    ):
+        exact = exact_distribution(p, kind, weights, cap=11).support
+        draws = sampler.draw_many(FULL_CUBE, m, rng_stream(42))
+        _assert_matches(draws, exact)
+        # draw_coordinate is the projection of draw_many on the same stream
+        column = sampler.draw_coordinate(FULL_CUBE, 3, m, rng_stream(42))
+        assert np.array_equal(column, draws[:, 3])
+
+
+class _TopUniform:
+    """A generator whose every uniform draw is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+
+@pytest.mark.parametrize("u", [1 - 2**-53, 1.0])
+def test_walk_top_uniform_picks_last_minimal_element(u):
+    # u = 1 - 2**-53 is numpy's largest uniform; u = 1.0 leaves no cumulative
+    # weight above u * total, which the rounding guard handles.  Either way
+    # each step takes the last minimal element.  In labels: 4 (the least
+    # element), 2 of {1, 2}, 1, then 3; element 4 is never taken again.
+    p = Poset.from_relations(4, [(4, 1), (4, 2), (1, 3)])
+    sampler = biased_extension_sampler(p, (3, 1, 5, 2))
+    sampler.enum_cap = 0
+    ((_, pos),) = sampler._walk(sampler._support(FULL_CUBE), 5, _TopUniform(u))
+    assert (pos.T == [2, 1, 3, 0]).all()  # the step of each element
+    draws = sampler.draw_many(FULL_CUBE, 5, _TopUniform(u))
+    expected = extension_to_bits(LinearExtension((3, 1, 0, 2)), p.free_map)
+    assert [tuple(row) for row in draws.tolist()] == [expected] * 5
+
+
+def test_support_cache_is_bounded():
+    # 300 distinct conditions on the 5-antichain; the first, the full cube,
+    # is evicted, rebuilt on its next draw, and still matches the oracle
+    p = Poset.from_relations(5, [])
+    dist = exact_distribution(p, "uniform")
+    conds = sorted(
+        {prefix_condition(x, i) for x in dist.support for i in range(p.free_map.n + 1)},
+        key=lambda c: (len(c), c.fixed),
+    )[:300]
+    assert len(conds) == 300 and conds[0] == FULL_CUBE
+    weights = (1, 2, 4, 3, 5)
+    walking = biased_extension_sampler(p, weights)
+    walking.enum_cap = 0
+    rng = rng_stream(43)
+    for kind, sampler in (("uniform", uniform_extension_sampler(p)), ("biased", walking)):
+        for cond in conds:
+            sampler.draw_many(cond, 1, rng)
+        info = sampler._support.cache_info()
+        assert info.misses == 300 and info.currsize <= 128
+        exact = exact_distribution(p, kind, weights).support
+        _assert_matches(sampler.draw_many(FULL_CUBE, 3000, rng), exact)
+        assert sampler._support.cache_info().misses == 301
 
 
 def test_uniform_conditional_marginals_match_oracle(figure1):

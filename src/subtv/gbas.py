@@ -12,7 +12,15 @@ and the expected draw count is k / p.
 
 Draws are batched through ``ConditionalSampler.draw_coordinate`` so that
 samplers with a vectorized path keep the inner loop in numpy; the draw count
-stops at the k-th success, exactly as in the one-draw-at-a-time loop.
+stops at the k-th success, exactly as in the one-draw-at-a-time loop.  The
+first batch is exactly k draws, the fewest any run needs (and at p = 1 the
+whole run).  Each later batch is the expected number of draws still needed
+at the observed success rate, (k - s) / rate, plus three negative-binomial
+standard deviations and a small floor, and never more than the draws made
+so far, so a noisy early rate at most doubles the total.  The draw count is
+the position of the k-th success in an i.i.d. stream, so batch sizes do not
+change its law; only the draws of the last batch past the k-th success are
+wasted.
 """
 
 from __future__ import annotations
@@ -27,6 +35,11 @@ from .errors import BudgetExhausted, InvalidParameter
 
 # Per-call allocation cap, not a draw budget.
 _MAX_BATCH = 1 << 22
+# Margin of a later batch over its expected draws: standard deviations of the
+# remaining draw count, and a floor that keeps the last batches from being
+# so small that the per-call cost of drawing outweighs the draws saved.
+_SPREAD = 3.0
+_FLOOR = 64
 
 
 @dataclass(frozen=True)
@@ -54,9 +67,10 @@ def gbas_estimate(
 ) -> GbasResult:
     """Estimate p = Pr[draw(condition)[coord] == head] from k successes.
 
-    max_draws caps the sampler calls; None means no cap.  Raises
-    BudgetExhausted if max_draws calls pass before the k-th success, which
-    signals p ~ 0 or a broken sampler.
+    max_draws caps the sampler calls and must be a non-negative integer;
+    None means no cap.  No batch asks for draws past the cap.  Raises
+    BudgetExhausted if max_draws calls pass before the k-th success (at
+    once for 0), which signals p ~ 0 or a broken sampler.
     """
     if k < 2:
         raise InvalidParameter(f"k must be at least 2, got {k}")
@@ -64,11 +78,13 @@ def gbas_estimate(
         raise InvalidParameter(f"head must be 0 or 1, got {head}")
     if not condition.is_free(coord):
         raise InvalidParameter(f"coordinate {coord} is fixed by the condition")
+    if max_draws is not None and not (max_draws >= 0 and float(max_draws).is_integer()):
+        raise InvalidParameter(f"max_draws must be a non-negative integer, got {max_draws}")
     limit = math.inf if max_draws is None else int(max_draws)
 
     s = 0
     draws = 0
-    batch = min(4 * k, limit, _MAX_BATCH)
+    batch = min(k, _MAX_BATCH)
     while True:
         if draws >= limit:
             raise BudgetExhausted(
@@ -83,7 +99,11 @@ def gbas_estimate(
             break
         s += len(hits)
         draws += m
-        rate = max(s / draws, 1e-9)
-        batch = min(max(1024, int(1.5 * (k - s) / rate)), _MAX_BATCH)
+        # With no success yet, one is assumed; the cap at the draws so far
+        # then doubles the total.
+        need = k - s
+        rate = max(s, 1) / draws
+        expect = need / rate + _SPREAD * math.sqrt(need * (1 - rate)) / rate
+        batch = min(int(expect) + _FLOOR, draws, _MAX_BATCH)
     r = rng.gamma(draws)
     return GbasResult(p_hat=(k - 1) / r, draws=draws, r=r, s=k)

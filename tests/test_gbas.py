@@ -22,6 +22,24 @@ class _ScriptedHits:
         return np.where(i <= 2000, i % 10 == 0, i % 100 == 0).astype(np.uint8)
 
 
+class _Recording:
+    """Wraps a sampler and keeps every coordinate value it returns, in order."""
+
+    def __init__(self, sampler):
+        self.sampler = sampler
+        self.n = sampler.n
+        self.values = []
+
+    def draw_coordinate(self, condition, coord, m, rng):
+        out = self.sampler.draw_coordinate(condition, coord, m, rng)
+        self.values.append(np.asarray(out))
+        return out
+
+    @property
+    def requested(self):
+        return sum(len(v) for v in self.values)
+
+
 def test_parameter_validation():
     sampler = ProductSampler([0.5])
     rng = rng_stream(0)
@@ -31,6 +49,43 @@ def test_parameter_validation():
         gbas_estimate(sampler, make_condition([(0, 1)], 1), 0, 1, 10, rng)
     with pytest.raises(InvalidParameter):
         gbas_estimate(sampler, FULL_CUBE, 0, 2, 10, rng)
+
+
+@pytest.mark.parametrize("max_draws", [-5, -1, 2.5, 0.5, math.inf, math.nan])
+def test_bad_max_draws_is_invalid(max_draws):
+    with pytest.raises(InvalidParameter, match="max_draws"):
+        gbas_estimate(ProductSampler([0.5]), FULL_CUBE, 0, 1, 10, rng_stream(0), max_draws=max_draws)
+
+
+def test_zero_max_draws_exhausts_at_once():
+    sampler = _Recording(ProductSampler([0.5]))
+    with pytest.raises(BudgetExhausted) as info:
+        gbas_estimate(sampler, FULL_CUBE, 0, 1, 10, rng_stream(0), max_draws=0)
+    assert info.value.draws == 0
+    assert sampler.requested == 0
+
+
+@pytest.mark.parametrize("k", [2, 100, 20000])
+@pytest.mark.parametrize("p", [0.01, 0.3, 0.5, 0.97, 1.0])
+def test_requests_stay_close_to_the_draws_used(p, k):
+    sampler = _Recording(ProductSampler([p]))
+    res = gbas_estimate(sampler, FULL_CUBE, 0, 1, k, rng_stream(6000 + k))
+    stream = np.concatenate(sampler.values)
+    assert res.draws == int(np.flatnonzero(stream == 1)[k - 1]) + 1
+    assert sampler.requested <= 2 * res.draws
+    if k == 20000:
+        assert sampler.requested <= 1.05 * res.draws + 1024
+    if p == 1.0:
+        assert sampler.requested == k
+    # a cap below the uncapped count is never overrun
+    cap = res.draws - 1
+    capped = _Recording(ProductSampler([p]))
+    with pytest.raises(BudgetExhausted):
+        gbas_estimate(capped, FULL_CUBE, 0, 1, k, rng_stream(6000 + k), max_draws=cap)
+    assert capped.requested <= cap
+    exact = _Recording(ProductSampler([p]))
+    again = gbas_estimate(exact, FULL_CUBE, 0, 1, k, rng_stream(6000 + k), max_draws=res.draws)
+    assert again.draws == exact.requested == res.draws
 
 
 def test_deterministic_coordinate_draw_count_and_concentration():
@@ -121,3 +176,16 @@ def test_clock_is_gamma_of_the_draw_count():
     se = gap.std(ddof=1) / math.sqrt(len(gap))
     assert abs(gap.mean()) <= 4 * se
     assert abs(gap.var(ddof=1) - mean_draws) <= 0.1 * mean_draws
+
+
+def test_draw_count_is_negative_binomial():
+    # the position of the k-th success at rate p: mean k/p, variance k(1-p)/p^2,
+    # whatever batch sizes the run chose from the outcomes it saw
+    p, k = 0.3, 20
+    sampler = ProductSampler([p])
+    draws = np.array(
+        [gbas_estimate(sampler, FULL_CUBE, 0, 1, k, rng_stream(7000 + t)).draws for t in range(4000)]
+    )
+    var = k * (1 - p) / p**2
+    assert abs(draws.mean() - k / p) <= 4 * math.sqrt(var / len(draws))
+    assert abs(draws.var(ddof=1) - var) <= 0.1 * var

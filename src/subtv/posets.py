@@ -17,7 +17,7 @@ import json
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -81,14 +81,13 @@ class Poset:
     base linear order used for the matrix encoding is element-label order.
     """
 
-    __slots__ = ("k", "leq", "_free_map", "_below", "_nmemo")
+    __slots__ = ("k", "leq", "_free_map", "_below")
 
     def __init__(self, leq: np.ndarray):
         self.k = leq.shape[0]
         self.leq = leq
         self._free_map: Optional[FreeBitMap] = None
         self._below: Optional[list[int]] = None
-        self._nmemo: dict[int, int] = {}
 
     @classmethod
     def from_relations(cls, k: int, relations: Iterable[tuple[int, int]]) -> "Poset":
@@ -132,30 +131,6 @@ class Poset:
     def minimal_in(self, mask: int) -> list[int]:
         below = self.below_masks
         return [e for e in range(self.k) if (mask >> e) & 1 and below[e] & mask == 0]
-
-    def count_upset(self, mask: int) -> int:
-        """Number of linear orderings of the induced subposet on ``mask``."""
-        memo = self._nmemo
-        below = self.below_masks
-
-        def rec(m: int) -> int:
-            if m == 0:
-                return 1
-            v = memo.get(m)
-            if v is not None:
-                return v
-            total = 0
-            mm = m
-            while mm:
-                low = mm & -mm
-                e = low.bit_length() - 1
-                mm ^= low
-                if below[e] & m == 0:
-                    total += rec(m ^ low)
-            memo[m] = total
-            return total
-
-        return rec(mask)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Poset) and np.array_equal(self.leq, other.leq)
@@ -243,43 +218,61 @@ def apply_condition(p: Poset, condition: Condition) -> Poset:
     return out
 
 
-def _walk_extensions(p: Poset, cap: int, w: Sequence[float] | None = None) -> tuple[list, list]:
-    """Each extension's order with its greedy-walk probability, in one backtracking pass.
-
-    Each step multiplies it by w[e] / (total w of the minimal elements), in
-    step order: exactly 1 at a lone minimal element.  Without w it stays 1.
-    """
+def enumerate_extensions(p: Poset, cap: int = ENUM_CAP) -> list[LinearExtension]:
+    """All linear extensions, by backtracking over minimal elements in ascending order."""
     if p.k > cap:
         raise TooLarge(f"enumeration needs k <= {cap}, got {p.k}")
-    below, k = p.below_masks, p.k
-    orders, probs, order = [], [], []
-
-    def rec(mask: int, prob: float) -> None:
-        if mask == 0:
-            orders.append(tuple(order))
-            probs.append(prob)
-            return
-        total = w and sum(w[e] for e in range(k) if mask >> e & 1 and not below[e] & mask)
-        for e in range(k):
-            if mask >> e & 1 and not below[e] & mask:
-                order.append(e)
-                rec(mask ^ (1 << e), prob * (w[e] / total) if w else prob)
-                order.pop()
-
-    rec((1 << p.k) - 1, 1.0)
-    return orders, probs
+    out: list[LinearExtension] = []
+    _backtrack(p.below_masks, (1 << p.k) - 1, [], out)
+    return out
 
 
-def enumerate_extensions(p: Poset, cap: int = ENUM_CAP) -> list[LinearExtension]:
-    """All linear extensions, by backtracking over minimal elements."""
-    return [LinearExtension(o) for o in _walk_extensions(p, cap)[0]]
+def _backtrack(below: list[int], mask: int, order: list[int], out: list) -> None:
+    # A module-level function, not a closure: a recursive closure is a
+    # reference cycle that would keep every extension alive until the
+    # garbage collector's next pass.
+    if mask == 0:
+        out.append(LinearExtension(tuple(order)))
+    for e in range(len(below)):
+        if mask >> e & 1 and not below[e] & mask:
+            order.append(e)
+            _backtrack(below, mask ^ (1 << e), order, out)
+            order.pop()
+
+
+def _upset_counts(p: Poset) -> tuple[np.ndarray, np.ndarray]:
+    """The up-sets of p as sorted masks, with each one's number of linear orders.
+
+    These are exactly the sets of elements a walk can have left: it removes
+    one minimal element per step, and it can remove any down-set first.
+    They are built level by level from the empty set, each level adding to
+    the previous one's masks every element whose successors they all hold,
+    sorted and deduplicated.  Such an element is minimal in the new set, so
+    each set's count sums its predecessors' counts: count(U) is the sum of
+    count(U - e) over the minimal elements e of U (De Loof, De Meyer and
+    De Baets, 2006).  int64 is exact for k <= COUNT_CAP, since 20! < 2^63.
+    """
+    bit = np.left_shift(1, np.arange(p.k, dtype=np.int64))
+    above = np.where(p.leq, bit, 0).sum(axis=1) - bit
+    level, count = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+    masks, counts = [level], [count]
+    for _ in range(p.k):
+        rows, es = np.nonzero((level[:, None] & (bit | above)) == above)
+        child = level[rows] | bit[es]
+        order = np.argsort(child)
+        first = np.flatnonzero(np.diff(child[order], prepend=-1))
+        level, count = child[order][first], np.add.reduceat(count[rows][order], first)
+        masks.append(level)
+        counts.append(count)
+    order = np.argsort(np.concatenate(masks))
+    return np.concatenate(masks)[order], np.concatenate(counts)[order]
 
 
 def count_extensions(p: Poset, cap: int = COUNT_CAP) -> int:
-    """|L(P)| exactly, via dynamic programming over order ideals."""
+    """|L(P)| exactly: the full set's count over the reachable up-sets."""
     if p.k > cap:
         raise TooLarge(f"counting needs k <= {cap}, got {p.k}")
-    return p.count_upset((1 << p.k) - 1)
+    return int(_upset_counts(p)[1][-1])
 
 
 def extension_to_bits(e: LinearExtension, free_map: FreeBitMap) -> Bits:
@@ -342,29 +335,6 @@ def encode_cnf(p: Poset) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _remaining_counts(below: np.ndarray) -> np.ndarray:
-    """counts[mask]: the number of linear orders of the elements in mask, for every mask.
-
-    Dynamic programming over subsets by size: counts[mask] sums
-    counts[mask - e] over the minimal elements e of mask.  Dense over all
-    2^k masks; int64 is exact for k <= COUNT_CAP, since 20! < 2^63.
-    """
-    k = len(below)
-    masks = np.arange(1 << k, dtype=np.int64)
-    by_size = np.argsort(np.bitwise_count(masks), kind="stable")
-    starts = np.searchsorted(np.bitwise_count(by_size), np.arange(k + 2))
-    counts = np.zeros(1 << k, dtype=np.int64)
-    counts[0] = 1
-    for size in range(1, k + 1):
-        level = by_size[starts[size] : starts[size + 1]]
-        total = np.zeros(len(level), dtype=np.int64)
-        for e in range(k):
-            minimal = ((level >> e) & 1 == 1) & ((level & below[e]) == 0)
-            total += np.where(minimal, counts[level ^ (1 << e)], 0)
-        counts[level] = total
-    return counts
-
-
 # Rows of one step of the batched walk: its peak memory is O(_WALK_CHUNK * k).
 _WALK_CHUNK = 2048
 # The walk's remaining-element sets are int64 masks.
@@ -372,14 +342,11 @@ _MASK_CAP = 63
 
 
 def _cache_entries(k: int) -> int:
-    """Conditions kept per sampler: 128, fewer above k = 16, where the
-    uniform walk's count tables (8 * 2^k bytes each) would pass 64 MB."""
-    return max(1, min(128, (64 << 20) >> (k + 3)))
-
-
-# The walk's step weights: (each walk's remaining-element mask, (k, walks)
-# minimal-element flags) -> each element's weight in each walk.
-_StepWeights = Callable[[np.ndarray, np.ndarray], np.ndarray]
+    """Conditions kept per sampler: 128, fewer above k = 15, where the
+    uniform walk's count tables would pass 64 MB.  A table stores 16 bytes
+    (an int64 mask and an int64 count) per reachable up-set, and an
+    antichain reaches all 2^k of them."""
+    return max(1, min(128, (64 << 20) >> (k + 4)))
 
 
 @dataclass(frozen=True)
@@ -387,14 +354,15 @@ class _Support:
     """What the draws under one condition need.
 
     Up to enum_cap elements, the exact support table: each extension's free
-    bits with the cumulative probability of drawing it.  Above, the batched
-    walk's inputs: the conditioned poset's strict-predecessor masks and the
-    sampler's step weights, zero where an element is not minimal.
+    bits with the cumulative probability of drawing it, in backtracking
+    order.  Above, the batched walk's inputs: the conditioned poset's
+    strict-predecessor masks and, for the uniform sampler, the up-sets the
+    walk can reach, sorted, with their counts of linear orders.
     """
 
     table: Optional[tuple[np.ndarray, np.ndarray]] = None
     below: Optional[np.ndarray] = None
-    step_weights: Optional[_StepWeights] = None
+    upsets: Optional[tuple[np.ndarray, np.ndarray]] = None
 
 
 class _ExtensionSampler(ConditionalSampler):
@@ -408,12 +376,15 @@ class _ExtensionSampler(ConditionalSampler):
 
     Every draw, single or batched, takes one of two paths.  When the poset
     has at most enum_cap elements it is a lookup in an exact support table
-    per condition, built in one backtracking pass that records each
-    extension with the walk's probability of drawing it.  Above enum_cap it
-    is the batched walk: all rows of a call advance together, one element
-    per step, each picking among its current minimal elements by the
-    subclass's step weights.  Both give the same law, so enum_cap bounds
-    the memory of a table (one row per extension), not the draw's speed.
+    per condition, built level by level: each step expands every partial
+    extension by each of its minimal elements and multiplies its
+    probability by the walk's for that element.  Above enum_cap it is the
+    batched walk: all rows of a call advance together, one element per
+    step, each picking among its current minimal elements by weight
+    (biased) or by the number of extensions that start with each (uniform,
+    counted over the up-sets the walk can reach).  Both paths give the same
+    law, so enum_cap bounds the memory of a table (one row per extension),
+    not the draw's speed.
     Each sampler keeps the last conditions' supports in an LRU cache.
     """
 
@@ -441,33 +412,47 @@ class _ExtensionSampler(ConditionalSampler):
             pc = apply_condition(self.poset, condition)
         except ContradictionError:
             return None
-        if pc.k <= self.enum_cap:
-            orders, probs = _walk_extensions(pc, self.enum_cap, self._float_weights)
-            pos = np.argsort(np.array(orders), axis=1)
-            bits = (pos[:, self._pairs[:, 0]] < pos[:, self._pairs[:, 1]]).astype(np.uint8)
-            probs = np.array(probs)
-            cum = np.cumsum(probs / probs.sum())
-            cum[-1] = 1.0
-            return _Support(table=(bits, cum))
         below = np.array(pc.below_masks, dtype=np.int64)
-        return _Support(below=below, step_weights=self._step_weights(below))
-
-    def _step_weights(self, below: np.ndarray) -> _StepWeights:
-        raise NotImplementedError  # the walk's step weights on the poset with these masks
+        w = self._float_weights
+        if pc.k > self.enum_cap:
+            return _Support(below=below, upsets=None if w else _upset_counts(pc))
+        # One row per partial extension: its remaining elements, each placed
+        # element's step and its probability.  Row-major nonzero expands the
+        # rows in order, elements ascending: the backtracking order.
+        k = pc.k
+        bit = np.left_shift(1, np.arange(k, dtype=np.int64))
+        mask = np.array([(1 << k) - 1])
+        pos = np.zeros((1, k), dtype=np.int8)
+        prob = np.ones(1)
+        for step in range(k):
+            minimal = (mask[:, None] & (bit | below)) == bit
+            rows, es = np.nonzero(minimal)
+            mask, pos, prob = mask[rows] ^ bit[es], pos[rows], prob[rows]
+            pos[np.arange(len(rows)), es] = step
+            if w:  # times w[e] / the minimal elements' total, summed in ascending order
+                wm = np.where(minimal, w, 0.0)
+                prob *= wm[rows, es] / np.cumsum(wm, axis=1)[rows, -1]
+        bits = (pos[:, self._pairs[:, 0]] < pos[:, self._pairs[:, 1]]).astype(np.uint8)
+        cum = np.cumsum(prob / prob.sum())
+        cum[-1] = 1.0
+        return _Support(table=(bits, cum))
 
     def _walk(self, support: _Support, m: int, rng: np.random.Generator):
         """Yield (first row, positions) for m walks, _WALK_CHUNK walks at a time.
 
         positions[e, r] is the step at which walk r placed element e; arrays
         are element-major, so each per-element operation runs over all walks.
-        At each step the pick is the first element whose cumulative weight
-        exceeds u * total: u uniform for float weights, an exact integer in
-        [0, total) for integer counts.  If rounding leaves no weight above
-        it, the pick is the walk's last minimal element.
+        At each step the pick is the first minimal element whose cumulative
+        weight exceeds u * total.  Biased, an element weighs its weight and
+        u is uniform.  Uniform, it weighs the count of the up-set left
+        without it, and u * total is an exact integer in [0, total).  If
+        rounding leaves no weight above it, the pick is the walk's last
+        minimal element.
         """
-        below, weights = support.below, support.step_weights
-        k = len(below)
+        below, k = support.below, len(support.below)
+        upsets, counts = support.upsets or (None, None)
         bit = np.left_shift(1, np.arange(k, dtype=np.int64))[:, None]
+        w = np.array(self._float_weights or ())[:, None]
         need = bit | below[:, None]  # e is minimal in mask iff mask & need[e] == bit[e]
         for first in range(0, m, _WALK_CHUNK):
             walks = min(_WALK_CHUNK, m - first)
@@ -476,13 +461,18 @@ class _ExtensionSampler(ConditionalSampler):
             col = np.arange(walks)
             for step in range(k):
                 minimal = (mask & need) == bit
-                cum = weights(mask, minimal)
+                if upsets is None:
+                    cum = np.where(minimal, w, 0.0)
+                else:  # looked up only where e is minimal: mask - e is an up-set there
+                    es, rs = np.divmod(np.flatnonzero(minimal), walks)
+                    cum = np.zeros(minimal.shape, dtype=np.int64)
+                    cum[es, rs] = counts[np.searchsorted(upsets, mask[rs] ^ bit[es, 0])]
                 for e in range(1, k):
                     cum[e] += cum[e - 1]
-                if cum.dtype.kind == "i":
-                    u = rng.integers(0, cum[-1])
-                else:
+                if upsets is None:
                     u = rng.random(walks) * cum[-1]
+                else:
+                    u = rng.integers(0, cum[-1])
                 pick = np.add.reduce(cum <= u, axis=0, dtype=np.int8)
                 stuck = pick == k
                 if stuck.any():
@@ -532,13 +522,6 @@ class UniformExtensionSampler(_ExtensionSampler, KnownDistribution):
         super().__init__(poset, enum_cap)
         self.total = count_extensions(poset)
 
-    def _step_weights(self, below: np.ndarray) -> _StepWeights:
-        # Each minimal element weighs the number of extensions that start with
-        # it; integer counts keep the choice exact.
-        counts = _remaining_counts(below)
-        bit = np.left_shift(1, np.arange(len(below), dtype=np.int64))[:, None]
-        return lambda mask, minimal: np.where(minimal, counts[mask ^ bit], 0)
-
     def mass(self, x: Bits) -> float:
         try:
             bits_to_extension(tuple(x), self.poset)
@@ -579,10 +562,6 @@ class BiasedExtensionSampler(_ExtensionSampler):
             raise ValueError("weights must be positive")
         self.weights = tuple(weights)
         self._float_weights = tuple(float(w) for w in weights)
-
-    def _step_weights(self, below: np.ndarray) -> _StepWeights:
-        weights = np.array(self._float_weights)[:, None]
-        return lambda mask, minimal: np.where(minimal, weights, 0.0)
 
 
 def uniform_extension_sampler(p: Poset, enum_cap: int = ENUM_CAP) -> UniformExtensionSampler:

@@ -1,4 +1,8 @@
 import itertools
+import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -39,7 +43,7 @@ from subtv.errors import (
 )
 from subtv.instances import generate_instance, instance_to_json
 from subtv.oracle import conditioned
-from subtv.posets import _WALK_CHUNK
+from subtv.posets import _WALK_CHUNK, _cache_entries, _upset_counts
 
 from conftest import small_posets
 
@@ -169,6 +173,32 @@ def test_count_examples(figure1):
     assert count_extensions(Poset.from_relations(6, [])) == 720
     chain20 = Poset.from_relations(20, [(i, i + 1) for i in range(1, 20)])
     assert count_extensions(chain20) == 1
+
+
+def test_enumerate_matches_permutations(figure1):
+    # an independent reference: every permutation of range(k) that respects
+    # leq, in itertools.permutations (lexicographic) order
+    for p in small_posets() + [figure1]:
+        reference = [
+            order
+            for order in itertools.permutations(range(p.k))
+            if all(not p.leq[b, a] for i, a in enumerate(order) for b in order[i + 1 :])
+        ]
+        assert [e.order for e in enumerate_extensions(p)] == reference
+
+
+def test_upset_counts_closed_forms():
+    # every subset of an antichain is an up-set, with |U|! linear orders
+    masks, counts = _upset_counts(Poset.from_relations(12, []))
+    assert masks.tolist() == list(range(4096))
+    assert counts.tolist() == [math.factorial(m.bit_count()) for m in range(4096)]
+    # a chain's up-sets are its 21 tops, each with one order
+    masks, counts = _upset_counts(Poset.from_relations(20, [(i, i + 1) for i in range(1, 20)]))
+    assert masks.tolist() == sorted(((1 << 20) - 1) ^ ((1 << t) - 1) for t in range(21))
+    assert counts.tolist() == [1] * 21
+    # a k = 20 generated instance, against the earlier memo and dense counts
+    p = parse_poset(instance_to_json(generate_instance("avgdeg", "1", 20, 0)))
+    assert count_extensions(p) == 45_886_782_960
 
 
 def test_caps():
@@ -448,6 +478,38 @@ def test_support_cache_is_bounded():
         exact = exact_distribution(p, kind, weights).support
         _assert_matches(sampler.draw_many(FULL_CUBE, 3000, rng), exact)
         assert sampler._support.cache_info().misses == 301
+    # At large k the cache keeps fewer conditions, so that the uniform walk's
+    # count tables stay within 64 MB even for an antichain, whose up-sets are
+    # all 2^k subsets: the worst case.
+    for k in range(17, 21):
+        masks, counts = _upset_counts(Poset.from_relations(k, []))
+        assert len(masks) == 2**k and _cache_entries(k) >= 1
+        assert _cache_entries(k) * (masks.nbytes + counts.nbytes) <= 64 << 20
+
+
+def test_no_numpy_ma_import():
+    # in numpy 2.4 a plain np.unique call imports numpy.ma, which costs
+    # set-up time and memory; neither sampler path nor counting may pull it in
+    code = """
+import sys
+from subtv import FULL_CUBE, Poset, biased_extension_sampler, count_extensions, rng_stream
+from subtv import uniform_extension_sampler
+p = Poset.from_relations(6, [(1, 2), (3, 4)])
+rng = rng_stream(1)
+for enum_cap in (10, 0):
+    uniform_extension_sampler(p, enum_cap).draw_many(FULL_CUBE, 50, rng)
+    biased = biased_extension_sampler(p, (1, 2, 3, 4, 5, 6))
+    biased.enum_cap = enum_cap
+    biased.draw_many(FULL_CUBE, 50, rng)
+assert count_extensions(p) == 180
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+"""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
 
 
 def test_uniform_conditional_marginals_match_oracle(figure1):

@@ -342,10 +342,11 @@ _MASK_CAP = 63
 
 
 def _cache_entries(k: int) -> int:
-    """Conditions kept per sampler: 128, fewer above k = 15, where the
-    uniform walk's count tables would pass 64 MB.  A table stores 16 bytes
-    (an int64 mask and an int64 count) per reachable up-set, and an
-    antichain reaches all 2^k of them."""
+    """Conditions the uniform sampler keeps: 128, fewer above k = 15, where
+    its walk's count tables would pass 64 MB.  A table stores 16 bytes (an
+    int64 mask and an int64 count) per reachable up-set, and an antichain
+    reaches all 2^k of them.  The biased walk keeps k masks per condition,
+    so the biased sampler always keeps 128."""
     return max(1, min(128, (64 << 20) >> (k + 4)))
 
 
@@ -353,14 +354,21 @@ def _cache_entries(k: int) -> int:
 class _Support:
     """What the draws under one condition need.
 
-    Up to enum_cap elements, the exact support table: each extension's free
-    bits with the cumulative probability of drawing it, in backtracking
-    order.  Above, the batched walk's inputs: the conditioned poset's
+    Up to enum_cap elements, the exact support table, one row per extension
+    in backtracking order: `bits`, each free bit's values over the rows
+    (n x rows, so one coordinate's values are contiguous), `cum`, the rows'
+    cumulative probabilities, and `guide`, G buckets for G the least power
+    of two of at least 2 per row: guide[g] is the first row whose cum
+    exceeds g / G.  A row costs n + 8 bytes, and 16 to 32 more for its 2 to
+    4 int64 buckets.
+    Above enum_cap, the batched walk's inputs: the conditioned poset's
     strict-predecessor masks and, for the uniform sampler, the up-sets the
     walk can reach, sorted, with their counts of linear orders.
     """
 
-    table: Optional[tuple[np.ndarray, np.ndarray]] = None
+    bits: Optional[np.ndarray] = None
+    cum: Optional[np.ndarray] = None
+    guide: Optional[np.ndarray] = None
     below: Optional[np.ndarray] = None
     upsets: Optional[tuple[np.ndarray, np.ndarray]] = None
 
@@ -378,7 +386,10 @@ class _ExtensionSampler(ConditionalSampler):
     has at most enum_cap elements it is a lookup in an exact support table
     per condition, built level by level: each step expands every partial
     extension by each of its minimal elements and multiplies its
-    probability by the walk's for that element.  Above enum_cap it is the
+    probability by the walk's for that element.  A lookup is a guide-table
+    search (Chen and Asau, 1974): it starts at the guide's bucket of u and
+    steps past rows whose cum is at most u, so it picks the row that a
+    binary search of u in cum would.  Above enum_cap it is the
     batched walk: all rows of a call advance together, one element per
     step, each picking among its current minimal elements by weight
     (biased) or by the number of extensions that start with each (uniform,
@@ -390,7 +401,7 @@ class _ExtensionSampler(ConditionalSampler):
 
     _float_weights: Optional[tuple[float, ...]] = None  # walk weights; None is uniform
 
-    def __init__(self, poset: Poset, enum_cap: int = ENUM_CAP):
+    def __init__(self, poset: Poset, enum_cap: int = ENUM_CAP, cache_entries: int = 128):
         if poset.k > _MASK_CAP:
             raise TooLarge(f"sampling needs k <= {_MASK_CAP}, got {poset.k}")
         self.poset = poset
@@ -402,7 +413,7 @@ class _ExtensionSampler(ConditionalSampler):
         # method would make a cycle that keeps a dropped sampler's tables
         # alive until the garbage collector's next full pass.
         ref = weakref.ref(self)
-        self._support = functools.lru_cache(maxsize=_cache_entries(poset.k))(
+        self._support = functools.lru_cache(maxsize=cache_entries)(
             lambda condition: ref()._build_support(condition)
         )
 
@@ -432,10 +443,15 @@ class _ExtensionSampler(ConditionalSampler):
             if w:  # times w[e] / the minimal elements' total, summed in ascending order
                 wm = np.where(minimal, w, 0.0)
                 prob *= wm[rows, es] / np.cumsum(wm, axis=1)[rows, -1]
-        bits = (pos[:, self._pairs[:, 0]] < pos[:, self._pairs[:, 1]]).astype(np.uint8)
+        bits = pos[:, self._pairs[:, 0]] < pos[:, self._pairs[:, 1]]
+        bits = bits.T.astype(np.uint8, order="C")
         cum = np.cumsum(prob / prob.sum())
         cum[-1] = 1.0
-        return _Support(table=(bits, cum))
+        # A power of two makes cum * G and g / G exact.  Row r counts in the
+        # buckets g >= ceil(cum[r] * G), those with cum[r] <= g / G.
+        G = 2 << (len(cum) - 1).bit_length()
+        guide = np.cumsum(np.bincount(np.ceil(cum * G).astype(np.intp), minlength=G + 1)[:G])
+        return _Support(bits=bits, cum=cum, guide=guide)
 
     def _walk(self, support: _Support, m: int, rng: np.random.Generator):
         """Yield (first row, positions) for m walks, _WALK_CHUNK walks at a time.
@@ -486,9 +502,17 @@ class _ExtensionSampler(ConditionalSampler):
         support = self._support(condition)
         if support is None:
             return uniform_fallback_many(condition, self.n, m, rng)[:, cols]
-        if support.table is not None:
-            bits, cum = support.table
-            return bits[np.searchsorted(cum, rng.random(m), side="right"), cols]
+        if support.cum is not None:
+            # The row is searchsorted(cum, u, side="right"): the guide's row
+            # for u's bucket, then one step, then a binary search for the few
+            # draws still short of their row.
+            cum, u = support.cum, rng.random(m)
+            row = support.guide[(u * len(support.guide)).astype(np.intp)]
+            row += cum[row] <= u
+            short = cum[row] <= u
+            if short.any():
+                row[short] = np.searchsorted(cum, u[short], side="right")
+            return np.ascontiguousarray(support.bits[cols, row].T)
         pairs = self._pairs[cols]
         out = np.empty((m,) + pairs.shape[:-1], dtype=np.uint8)
         for first, pos in self._walk(support, m, rng):
@@ -519,7 +543,7 @@ class UniformExtensionSampler(_ExtensionSampler, KnownDistribution):
     """
 
     def __init__(self, poset: Poset, enum_cap: int = ENUM_CAP):
-        super().__init__(poset, enum_cap)
+        super().__init__(poset, enum_cap, _cache_entries(poset.k))
         self.total = count_extensions(poset)
 
     def mass(self, x: Bits) -> float:

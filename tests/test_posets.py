@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -43,7 +44,7 @@ from subtv.errors import (
 )
 from subtv.instances import generate_instance, instance_to_json
 from subtv.oracle import conditioned
-from subtv.posets import _WALK_CHUNK, _cache_entries, _upset_counts
+from subtv.posets import ENUM_CAP, _WALK_CHUNK, _cache_entries, _upset_counts
 
 from conftest import small_posets
 
@@ -337,7 +338,8 @@ def test_conditioned_tables_match_oracle(figure1):
             ("biased", biased_extension_sampler(p, w)),
         ):
             for cond in conds:
-                bits, cum = sampler._support(cond).table
+                support = sampler._support(cond)
+                bits, cum = support.bits.T, support.cum
                 probs = np.diff(cum, prepend=0.0)
                 rows = [tuple(int(b) for b in row) for row in bits]
                 exact = exact_distribution(
@@ -412,26 +414,39 @@ def test_walk_matches_oracle_on_prefix_conditions(figure1):
                 _assert_matches(sampler.draw_many(cond, 2000, rng), exact)
 
 
-def test_walk_matches_oracle_above_enum_cap():
-    # the default samplers walk at k = 11; m spans several walk chunks and
-    # ends inside one
+def _assert_draws_match_oracle(enum_cap):
+    # on avgdeg_3_011_0, k = 11: a table when enum_cap >= 11, the walk below;
+    # m spans several walk chunks and ends inside one
     p = _avgdeg_3_011_0()
     weights = (1, 2, 4, 3, 5, 7, 1, 2, 4, 3, 5)
     m = 10 * _WALK_CHUNK + 7
+    biased = biased_extension_sampler(p, weights)
+    biased.enum_cap = enum_cap
     for kind, sampler in (
-        ("uniform", uniform_extension_sampler(p)),
-        ("biased", biased_extension_sampler(p, weights)),
+        ("uniform", uniform_extension_sampler(p, enum_cap)),
+        ("biased", biased),
     ):
+        assert (sampler._support(FULL_CUBE).cum is not None) == (enum_cap >= p.k)
         exact = exact_distribution(p, kind, weights, cap=11).support
         draws = sampler.draw_many(FULL_CUBE, m, rng_stream(42))
+        assert draws.shape == (m, p.free_map.n) and draws.dtype == np.uint8
+        assert draws.flags.c_contiguous
         _assert_matches(draws, exact)
         # draw_coordinate is the projection of draw_many on the same stream
         column = sampler.draw_coordinate(FULL_CUBE, 3, m, rng_stream(42))
         assert np.array_equal(column, draws[:, 3])
 
 
-class _TopUniform:
-    """A generator whose every uniform draw is u."""
+def test_walk_matches_oracle_above_enum_cap():
+    _assert_draws_match_oracle(ENUM_CAP)
+
+
+def test_table_draws_match_oracle():
+    _assert_draws_match_oracle(11)
+
+
+class _FixedUniform:
+    """A generator whose uniform draws are u: one value, or one per draw."""
 
     def __init__(self, u):
         self.u = u
@@ -449,11 +464,54 @@ def test_walk_top_uniform_picks_last_minimal_element(u):
     p = Poset.from_relations(4, [(4, 1), (4, 2), (1, 3)])
     sampler = biased_extension_sampler(p, (3, 1, 5, 2))
     sampler.enum_cap = 0
-    ((_, pos),) = sampler._walk(sampler._support(FULL_CUBE), 5, _TopUniform(u))
+    ((_, pos),) = sampler._walk(sampler._support(FULL_CUBE), 5, _FixedUniform(u))
     assert (pos.T == [2, 1, 3, 0]).all()  # the step of each element
-    draws = sampler.draw_many(FULL_CUBE, 5, _TopUniform(u))
+    draws = sampler.draw_many(FULL_CUBE, 5, _FixedUniform(u))
     expected = extension_to_bits(LinearExtension((3, 1, 0, 2)), p.free_map)
     assert [tuple(row) for row in draws.tolist()] == [expected] * 5
+
+
+def _table_sampler(name, figure1):
+    if name == "figure1":
+        return uniform_extension_sampler(figure1)
+    if name == "avgdeg_2_010_0":  # the draw-heavy benchmark's biased-equal sampler
+        p = parse_poset(instance_to_json(generate_instance("avgdeg", "2", 10, 0)))
+        return biased_extension_sampler(p, (1,) * 10)
+    # weights 10^-i: most of the 9! extensions have tiny probabilities, so
+    # thousands of rows share a guide bucket
+    return biased_extension_sampler(Poset.from_relations(9, []), [10.0**-i for i in range(9)])
+
+
+@pytest.mark.parametrize("name", ["figure1", "avgdeg_2_010_0", "skewed_antichain9"])
+def test_table_draws_pick_the_binary_search_row(figure1, name):
+    # at every boundary u can meet, a table draw picks the row that
+    # searchsorted(cum, u, side="right") picks: on each cum and each guide
+    # bucket's edge, and on the float just below either
+    sampler = _table_sampler(name, figure1)
+    support = sampler._support(FULL_CUBE)
+    cum, G = support.cum, len(support.guide)
+    if name == "skewed_antichain9":
+        assert np.diff(support.guide).max() >= 1000
+    edges = np.concatenate([cum, np.arange(G) / G])
+    u = np.concatenate([[0.0, 1 - 2**-53], edges, np.nextafter(edges, 0)])
+    u = u[u < 1]
+    spent = 0.0  # a fix-up that loops over every draw until none moves takes seconds
+    for first in range(0, len(u), 1 << 16):
+        chunk = u[first : first + (1 << 16)]
+        start = time.process_time()
+        draws = sampler._draw(FULL_CUBE, slice(None), len(chunk), _FixedUniform(chunk))
+        spent += time.process_time() - start
+        assert np.array_equal(draws, support.bits.T[np.searchsorted(cum, chunk, side="right")])
+    assert spent < 1.0, spent
+
+
+def test_biased_cache_is_not_sized_by_count_tables():
+    # only the uniform walk keeps 2^k-sized count tables; the biased walk
+    # keeps k masks per condition
+    p = parse_poset(instance_to_json(generate_instance("avgdeg", "1", 20, 0)))
+    assert biased_extension_sampler(p, (1,) * 20)._support.cache_parameters()["maxsize"] == 128
+    uniform = uniform_extension_sampler(p)
+    assert uniform._support.cache_parameters()["maxsize"] == _cache_entries(20) < 128
 
 
 def test_support_cache_is_bounded():

@@ -23,7 +23,6 @@ from .core import (
 from .estimator import (
     EstimateReport,
     EstimatorParams,
-    MassEstimate,
     derive_params,
     estimate_mass,
     estimate_tv,
@@ -32,7 +31,6 @@ from .gbas import GbasResult, gbas_estimate
 from .oracle import ExactDistribution, exact_distribution, exact_marginal, exact_tv
 from .posets import (
     BiasedExtensionSampler,
-    FreeBitMap,
     LinearExtension,
     Poset,
     UniformExtensionSampler,
@@ -61,11 +59,9 @@ __all__ = [
     "EstimatorParams",
     "ExactDistribution",
     "FULL_CUBE",
-    "FreeBitMap",
     "GbasResult",
     "KnownDistribution",
     "LinearExtension",
-    "MassEstimate",
     "Poset",
     "ProductSampler",
     "REJECT",

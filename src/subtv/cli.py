@@ -95,7 +95,7 @@ def parse_weight(token: str) -> Fraction:
         if "." in token or "e" in token or "E" in token:
             return Fraction(*float(token).as_integer_ratio())
         return Fraction(int(token))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise UsageError(f"bad weight {token!r}: {exc}") from exc
 
 

@@ -4,7 +4,10 @@ A poset on k elements is encoded by the upper triangle of its relation
 matrix, unrolled row-major into a {0,1,*} string of length C(k,2).  The *
 positions (incomparable pairs) are the free coordinates of a Boolean
 subcube: sampling a linear extension is sampling a point of that subcube,
-and fixing a free bit is adding one oriented pair to the order.
+and fixing a free bit is adding one oriented pair to the order.  Every
+order is grown by one routine that adds relations one at a time to a
+closed matrix; a relation whose reverse already holds is a cycle, and the
+error it raises (CycleError, ContradictionError, InvalidEncoding) names it.
 
 Elements are 0-based internally; instance documents and reported pair
 labels are 1-based.
@@ -59,17 +62,21 @@ class LinearExtension:
         return tuple(e + 1 for e in self.order)
 
 
-def _close_and_check(leq: np.ndarray, error: type[Exception]) -> np.ndarray:
-    """Transitive closure by boolean-matmul fixpoint; raises on a cycle."""
-    while True:
-        new = leq | (leq @ leq)
-        if np.array_equal(new, leq):
-            break
-        leq = new
-    k = leq.shape[0]
-    off_diag = ~np.eye(k, dtype=bool)
-    if (leq & leq.T & off_diag).any():
-        raise error("relations contain a cycle")
+def _add_relations(
+    leq: np.ndarray, pairs: Iterable[tuple[int, int]], error: type[Exception]
+) -> np.ndarray:
+    """Add each (a, b), a before b, to the closed order leq; a frozen copy.
+
+    Adding a before b puts everything at or below a below everything at or
+    above b, so the copy stays closed (Italiano, 1986), and it gains a
+    cycle exactly when b is already at or below a: then error names the pair.
+    """
+    leq = np.array(leq)
+    for a, b in pairs:
+        if leq[b, a]:
+            raise error(f"({a + 1}, {b + 1}) closes a cycle: {b + 1} already precedes {a + 1}")
+        if not leq[a, b]:
+            leq |= leq[:, a, None] & leq[b]
     leq.flags.writeable = False
     return leq
 
@@ -94,13 +101,13 @@ class Poset:
         """Build from 1-based (a, b) pairs meaning a precedes b."""
         if k < 1:
             raise ParseError(f"element count must be positive, got {k}")
-        leq = np.eye(k, dtype=bool)
+        pairs = []
         for a, b in relations:
             if not (1 <= a <= k and 1 <= b <= k):
                 raise ParseError(f"relation ({a}, {b}) outside elements 1..{k}")
             if a != b:
-                leq[a - 1, b - 1] = True
-        return cls(_close_and_check(leq, CycleError))
+                pairs.append((a - 1, b - 1))
+        return cls(_add_relations(np.eye(k, dtype=bool), pairs, CycleError))
 
     @property
     def free_map(self) -> FreeBitMap:
@@ -158,10 +165,10 @@ def parse_poset(text: str) -> Poset:
         raise ParseError("document must carry 'elements' and 'relations'")
     k = doc["elements"]
     relations = doc["relations"]
-    if not isinstance(k, int):
+    if type(k) is not int:  # JSON true and false are bools, a subclass of int
         raise ParseError("'elements' must be an integer")
     if not isinstance(relations, list) or not all(
-        isinstance(r, list) and len(r) == 2 and all(isinstance(v, int) for v in r)
+        isinstance(r, list) and len(r) == 2 and all(type(v) is int for v in r)
         for r in relations
     ):
         raise ParseError("'relations' must be a list of [a, b] integer pairs")
@@ -184,18 +191,14 @@ def encode_matrix(p: Poset) -> tuple[list[list[str]], str, FreeBitMap]:
 def orient_pair(p: Poset, i: int, j: int, bit: int) -> Poset:
     """Decide the pair (i, j): bit 1 adds i before j, bit 0 adds j before i.
 
-    A pair already decided the same way is a no-op; deciding against an
-    existing relation (directly or through closure) raises
-    ContradictionError, which marks a zero-mass subcube.
+    A pair already decided the same way returns p itself; deciding against
+    the order raises ContradictionError, which names the pair and marks a
+    zero-mass subcube.
     """
     a, b = (i, j) if bit == 1 else (j, i)
     if p.leq[a, b]:
         return p
-    if p.leq[b, a]:
-        raise ContradictionError(f"pair ({a + 1}, {b + 1}) contradicts existing order")
-    leq = np.array(p.leq)
-    leq[a, b] = True
-    return Poset(_close_and_check(leq, ContradictionError))
+    return Poset(_add_relations(p.leq, [(a, b)], ContradictionError))
 
 
 def fix_free_pair(p: Poset, free_index: int, bit: int) -> Poset:
@@ -205,17 +208,19 @@ def fix_free_pair(p: Poset, free_index: int, bit: int) -> Poset:
 
 
 def apply_condition(p: Poset, condition: Condition) -> Poset:
-    """Fold a subcube condition into the poset.
+    """Fold a subcube condition into the poset, one oriented pair at a time.
 
     Indices refer to p's free map, so chained conditions must always be
     applied to the original poset, never to an already-conditioned one.
+    FULL_CUBE returns p itself.  A pair whose reverse the order already
+    holds, given or implied by the pairs before it, raises
+    ContradictionError naming that pair.
     """
-    pairs = p.free_map.pairs
-    out = p
-    for idx, bit in condition.fixed:
-        i, j = pairs[idx]
-        out = orient_pair(out, i, j, bit)
-    return out
+    if not condition.fixed:
+        return p
+    free = p.free_map.pairs
+    pairs = (free[idx] if bit == 1 else free[idx][::-1] for idx, bit in condition.fixed)
+    return Poset(_add_relations(p.leq, pairs, ContradictionError))
 
 
 def enumerate_extensions(p: Poset, cap: int = ENUM_CAP) -> list[LinearExtension]:
@@ -286,17 +291,10 @@ def bits_to_extension(bits: Bits, p: Poset) -> LinearExtension:
     free_map = p.free_map
     if len(bits) != free_map.n:
         raise InvalidEncoding(f"expected {free_map.n} free bits, got {len(bits)}")
-    out = p
-    try:
-        for idx, bit in enumerate(bits):
-            i, j = free_map.pairs[idx]
-            out = orient_pair(out, i, j, bit)
-    except ContradictionError as exc:
-        raise InvalidEncoding(str(exc)) from exc
-    # Every pair is now decided, so predecessor counts are 0..k-1.
-    counts = [int(out.leq[:, e].sum()) - 1 for e in range(p.k)]
-    order = tuple(e for _, e in sorted(zip(counts, range(p.k))))
-    return LinearExtension(order)
+    pairs = (pair if bit == 1 else pair[::-1] for pair, bit in zip(free_map.pairs, bits))
+    leq = _add_relations(p.leq, pairs, InvalidEncoding)
+    # Every pair is now decided, so the elements' predecessor counts are 0..k-1.
+    return LinearExtension(tuple(np.argsort(leq.sum(axis=0)).tolist()))
 
 
 def encode_cnf(p: Poset) -> str:

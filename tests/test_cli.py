@@ -57,6 +57,11 @@ def test_unknown_sampler_spec_rejected(figure1_path):
         parse_sampler_spec("biased:1,2", 4)
     with pytest.raises(UsageError):
         parse_sampler_spec("biased:1,-2,3,4", 4)
+    # 1e999 overflows a float to infinity, which has no integer ratio
+    with pytest.raises(UsageError, match="bad weight"):
+        parse_sampler_spec("biased:1e999,1,1,1", 4)
+    assert run_cli(["estimate", figure1_path, "--sampler", "biased:1e999,1,1,1"]) == 1
+    assert run_cli(["oracle-dtv", figure1_path, "--p", "biased:1e999,1,1,1", "--q", "uniform"]) == 1
 
 
 def test_estimate_json_report(figure1_path, capsys):

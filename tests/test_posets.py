@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -9,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from subtv import (
@@ -62,6 +63,43 @@ def label_ordered_posets(draw, max_k=5):
     return Poset.from_relations(k, [(min(a, b), max(a, b)) for a, b in pairs])
 
 
+@st.composite
+def relation_lists(draw, max_k=6):
+    # any 1-based pairs at all: self-pairs and cycles included
+    k = draw(st.integers(1, max_k))
+    return k, draw(st.lists(st.tuples(st.integers(1, k), st.integers(1, k)), max_size=10))
+
+
+@st.composite
+def ranked_posets(draw, max_k=6):
+    # each pair oriented by the elements' ranks in a random permutation
+    k, pairs = draw(relation_lists(max_k))
+    rank = draw(st.permutations(range(k)))
+    return Poset.from_relations(k, [(a, b) if rank[a - 1] < rank[b - 1] else (b, a) for a, b in pairs])
+
+
+@st.composite
+def conditioned_small_posets(draw):
+    p = draw(st.sampled_from(small_posets()))
+    n = p.free_map.n
+    bits = draw(st.lists(st.sampled_from((None, 0, 1)), min_size=n, max_size=n))
+    return p, make_condition([(i, b) for i, b in enumerate(bits) if b is not None], n)
+
+
+def reference_closure(k, relations):
+    """The order 1-based relations generate, by boolean-matmul fixpoint, and
+    whether it has a cycle: two distinct elements each below the other."""
+    leq = np.eye(k, dtype=bool)
+    for a, b in relations:
+        leq[a - 1, b - 1] = True
+    while True:
+        new = leq | (leq @ leq)
+        if np.array_equal(new, leq):
+            break
+        leq = new
+    return leq, bool((leq & leq.T & ~np.eye(k, dtype=bool)).any())
+
+
 # parsing
 
 
@@ -89,11 +127,29 @@ def test_parse_cycle():
         '{"elements":"three","relations":[]}',
         '{"elements":3,"relations":[[1,2,3]]}',
         '{"elements":3,"relations":[[0,2]]}',
+        '{"elements": true, "relations": []}',
+        '{"elements": 3, "relations": [[true, 3]]}',
     ],
 )
 def test_parse_errors(text):
     with pytest.raises(ParseError):
         parse_poset(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(relation_lists())
+def test_from_relations_matches_reference_closure(kr):
+    k, relations = kr
+    leq, cyclic = reference_closure(k, relations)
+    if cyclic:
+        with pytest.raises(CycleError) as err:
+            Poset.from_relations(k, relations)
+        named = re.match(r"\((\d+), (\d+)\) closes a cycle", str(err.value))
+        assert (int(named[1]), int(named[2])) in relations
+    else:
+        p = Poset.from_relations(k, relations)
+        assert np.array_equal(p.leq, leq)
+        assert not p.leq.flags.writeable
 
 
 # matrix encoding
@@ -154,6 +210,21 @@ def test_condition_indices_refer_to_original_free_map(figure1):
     cond_ok = make_condition([(0, 0), (1, 1)], 2)
     pc = apply_condition(figure1, cond_ok)
     assert count_extensions(pc) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(conditioned_small_posets())
+def test_apply_condition_keeps_exactly_the_agreeing_extensions(pc):
+    p, cond = pc
+    fm = p.free_map
+    encoded = [extension_to_bits(e, fm) for e in enumerate_extensions(p)]
+    agreeing = [x for x in encoded if cond.agrees(x)]
+    if not agreeing:
+        with pytest.raises(ContradictionError, match="closes a cycle"):
+            apply_condition(p, cond)
+    else:
+        pc = apply_condition(p, cond)
+        assert [extension_to_bits(e, fm) for e in enumerate_extensions(pc)] == agreeing
 
 
 # enumeration and counting
@@ -246,6 +317,20 @@ def test_round_trip_random(p):
     fm = p.free_map
     for e in enumerate_extensions(p):
         assert bits_to_extension(extension_to_bits(e, fm), p) == e
+
+
+@settings(max_examples=100, deadline=None)
+@given(ranked_posets())
+def test_bits_to_extension_decodes_exactly_the_encodings(p):
+    fm = p.free_map
+    assume(fm.n <= 8)
+    encodings = {extension_to_bits(e, fm): e for e in enumerate_extensions(p)}
+    for bits in itertools.product((0, 1), repeat=fm.n):
+        if bits in encodings:
+            assert bits_to_extension(bits, p) == encodings[bits]
+        else:
+            with pytest.raises(InvalidEncoding):
+                bits_to_extension(bits, p)
 
 
 # samplers

@@ -13,12 +13,8 @@ import json
 import sys
 import time
 
-from subtv import (
-    biased_extension_sampler,
-    identity_test,
-    parse_poset,
-    uniform_extension_sampler,
-)
+from subtv import identity_test, parse_poset, uniform_extension_sampler
+from subtv.cli import build_sampler
 from subtv.instances import generate_instance
 
 DEFAULT_CORPUS = [
@@ -32,12 +28,10 @@ DEFAULT_CORPUS = [
 
 
 def samplers_for(poset):
-    k = poset.k
-    return {
-        "uniform": uniform_extension_sampler(poset),
-        "biased-equal": biased_extension_sampler(poset, [1] * k),
-        "biased-ramp": biased_extension_sampler(poset, list(range(1, k + 1))),
-    }
+    """The CLI's presets: uniform, biased-equal, and weights 1..k (biased-ramp)."""
+    ramp = "biased:" + ",".join(str(w) for w in range(1, poset.k + 1))
+    specs = {"uniform": "uniform", "biased-equal": "biased-equal", "biased-ramp": ramp}
+    return {name: build_sampler(poset, spec) for name, spec in specs.items()}
 
 
 def main(argv=None):

@@ -6,7 +6,6 @@ rational oracle for desk-scale verification.
 """
 
 from .core import (
-    Bits,
     Condition,
     ConditionalSampler,
     FULL_CUBE,
@@ -20,20 +19,12 @@ from .core import (
     rng_stream,
     uniform_fallback,
 )
-from .estimator import (
-    EstimateReport,
-    EstimatorParams,
-    derive_params,
-    estimate_mass,
-    estimate_tv,
-)
-from .gbas import GbasResult, gbas_estimate
+from .estimator import EstimatorParams, derive_params, estimate_mass, estimate_tv
+from .gbas import gbas_estimate
 from .oracle import ExactDistribution, exact_distribution, exact_marginal, exact_tv
 from .posets import (
-    BiasedExtensionSampler,
     LinearExtension,
     Poset,
-    UniformExtensionSampler,
     apply_condition,
     biased_extension_sampler,
     bits_to_extension,
@@ -47,27 +38,21 @@ from .posets import (
     parse_poset,
     uniform_extension_sampler,
 )
-from .tester import ACCEPT, REJECT, TesterParams, Verdict, identity_test
+from .tester import ACCEPT, REJECT, TesterParams, identity_test
 
 __all__ = [
     "ACCEPT",
-    "BiasedExtensionSampler",
-    "Bits",
     "Condition",
     "ConditionalSampler",
-    "EstimateReport",
     "EstimatorParams",
     "ExactDistribution",
     "FULL_CUBE",
-    "GbasResult",
     "KnownDistribution",
     "LinearExtension",
     "Poset",
     "ProductSampler",
     "REJECT",
     "TesterParams",
-    "UniformExtensionSampler",
-    "Verdict",
     "apply_condition",
     "biased_extension_sampler",
     "bits_from_str",

@@ -1,6 +1,9 @@
 """Command-line surface: distance estimation, identity testing, oracle
 queries, CNF export, and instance generation.
 
+`test` is the estimator at zeta = (eta - epsilon) / 2 plus a threshold,
+so the two commands share one run path and one report.
+
 Exit codes: 0 success or ACCEPT, 1 usage or parameter error, 2 sampling
 budget exhausted, 3 REJECT.
 """
@@ -129,111 +132,66 @@ def _load_poset(path: str) -> Poset:
     return parse_poset(text)
 
 
-def _report(instance, dim, estd_dtv, samples, verdict, params, seed, wall_time, partial=False):
-    return {
-        "instance": instance,
-        "dim": dim,
-        "estd_dtv": estd_dtv,
-        "samples": samples,
-        "verdict": verdict,
-        "params": params,
-        "seed": seed,
-        "wall_time": wall_time,
-        "partial": partial,
-    }
-
-
-def _emit(report: dict, fmt: str, out=None) -> None:
-    out = out or sys.stdout
+def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(report, sort_keys=True), file=out)
+        print(json.dumps(report, sort_keys=True))
         return
     dtv = "-" if report["estd_dtv"] is None else f"{report['estd_dtv']:.4f}"
     verdict = report["verdict"] or "-"
-    print(f"{'instance':<28} {'dim':>4} {'estd_dtv':>9} {'#samples':>12} {'A/R':>4}", file=out)
-    print(
-        f"{report['instance']:<28} {report['dim']:>4} {dtv:>9} {report['samples']:>12} {verdict:>4}",
-        file=out,
-    )
+    print(f"{'instance':<28} {'dim':>4} {'estd_dtv':>9} {'#samples':>12} {'A/R':>4}")
+    print(f"{report['instance']:<28} {report['dim']:>4} {dtv:>9} {report['samples']:>12} {verdict:>4}")
 
 
-def _partial_report(args, dim, params, exc: BudgetExhausted, wall_time: float) -> dict:
-    terms = exc.partial_terms
-    estd = sum(terms) / len(terms) if terms else None
-    return _report(
-        args.instance, dim, estd, exc.draws, None, params, args.seed, wall_time, partial=True
+def _run(args, flags: dict, call) -> int:
+    """Run one sampling command and emit its report; the exit code follows it.
+
+    call(unknown, known, threads=, max_total_samples=) runs the command and
+    returns (EstimateReport, verdict letter or None, params).  When the
+    budget runs out, the report is partial: the mean of the terms so far,
+    the draws made, and params holding only the command's flags.
+    """
+    poset = _load_poset(args.instance)
+    unknown = build_sampler(poset, args.sampler)
+    known = uniform_extension_sampler(poset)
+    started = time.perf_counter()
+    try:
+        report, verdict, params = call(
+            unknown, known, threads=args.threads, max_total_samples=args.max_samples
+        )
+        estd, samples, partial = report.dtv_estimate, report.total_samples, False
+        code = EXIT_REJECT if verdict == "R" else EXIT_OK
+    except BudgetExhausted as exc:
+        terms = exc.partial_terms
+        estd = sum(terms) / len(terms) if terms else None
+        samples, verdict, params, partial, code = exc.draws, None, flags, True, EXIT_BUDGET
+    run = {"sampler": args.sampler, "threads": args.threads, "max_samples": args.max_samples}
+    _emit(
+        {"instance": args.instance, "dim": unknown.n, "estd_dtv": estd, "samples": samples,
+         "verdict": verdict, "params": params | run, "seed": args.seed,
+         "wall_time": time.perf_counter() - started, "partial": partial},
+        args.format,
     )
+    return code
 
 
 def cmd_estimate(args) -> int:
-    poset = _load_poset(args.instance)
-    unknown = build_sampler(poset, args.sampler)
-    known = uniform_extension_sampler(poset)
-    started = time.perf_counter()
-    try:
-        report = estimate_tv(
-            unknown,
-            known,
-            args.zeta,
-            args.delta,
-            args.seed,
-            threads=args.threads,
-            max_total_samples=args.max_samples,
-        )
-    except BudgetExhausted as exc:
-        params = {"zeta": args.zeta, "delta": args.delta, "sampler": args.sampler,
-                  "threads": args.threads, "max_samples": args.max_samples}
-        wall = time.perf_counter() - started
-        _emit(_partial_report(args, unknown.n, params, exc, wall), args.format)
-        return EXIT_BUDGET
-    wall = time.perf_counter() - started
-    params = asdict(report.params) | {
-        "sampler": args.sampler, "threads": args.threads, "max_samples": args.max_samples
-    }
-    _emit(
-        _report(args.instance, unknown.n, report.dtv_estimate, report.total_samples,
-                None, params, args.seed, wall),
-        args.format,
-    )
-    return EXIT_OK
+    def call(unknown, known, **budget):
+        report = estimate_tv(unknown, known, args.zeta, args.delta, args.seed, **budget)
+        return report, None, asdict(report.params)
+
+    return _run(args, {"zeta": args.zeta, "delta": args.delta}, call)
 
 
 def cmd_test(args) -> int:
-    poset = _load_poset(args.instance)
-    unknown = build_sampler(poset, args.sampler)
-    known = uniform_extension_sampler(poset)
-    started = time.perf_counter()
-    try:
+    def call(unknown, known, **budget):
         verdict = identity_test(
-            unknown,
-            known,
-            args.epsilon,
-            args.eta,
-            args.delta,
-            args.seed,
-            threads=args.threads,
-            max_total_samples=args.max_samples,
+            unknown, known, args.epsilon, args.eta, args.delta, args.seed, **budget
         )
-    except BudgetExhausted as exc:
-        params = {"epsilon": args.epsilon, "eta": args.eta, "delta": args.delta,
-                  "sampler": args.sampler, "threads": args.threads,
-                  "max_samples": args.max_samples}
-        wall = time.perf_counter() - started
-        _emit(_partial_report(args, unknown.n, params, exc, wall), args.format)
-        return EXIT_BUDGET
-    wall = time.perf_counter() - started
-    inner = {f"est_{k}": v for k, v in asdict(verdict.estimate.params).items()}
-    params = asdict(verdict.params) | inner | {
-        "sampler": args.sampler, "threads": args.threads, "max_samples": args.max_samples
-    }
-    _emit(
-        _report(args.instance, unknown.n, verdict.estimate.dtv_estimate,
-                verdict.estimate.total_samples,
-                "R" if verdict.decision == REJECT else "A",
-                params, args.seed, wall),
-        args.format,
-    )
-    return EXIT_REJECT if verdict.decision == REJECT else EXIT_OK
+        inner = {f"est_{k}": v for k, v in asdict(verdict.estimate.params).items()}
+        letter = "R" if verdict.decision == REJECT else "A"
+        return verdict.estimate, letter, asdict(verdict.params) | inner
+
+    return _run(args, {"epsilon": args.epsilon, "eta": args.eta, "delta": args.delta}, call)
 
 
 def cmd_oracle_dtv(args) -> int:

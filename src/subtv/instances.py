@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import rng_stream
 from .errors import CycleError, InvalidParameter
-from .posets import Poset
+from .posets import ELEMENT_CAP, Poset
 
 FAMILIES = ("avgdeg", "bipartite")
 
@@ -67,6 +67,8 @@ def _bipartite_relations(k: int, p: float, rng: np.random.Generator) -> list[lis
 
 def generate_instance(family: str, param, size: int, index: int) -> dict:
     """An instance document for the given family coordinates."""
+    if not 1 <= size <= ELEMENT_CAP:  # the sizes an instance document may have
+        raise InvalidParameter(f"size must lie in 1..{ELEMENT_CAP}, got {size}")
     name = instance_name(family, param, size, index)
     rng = rng_stream(instance_seed(name))
     if family == "avgdeg":

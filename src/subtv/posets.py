@@ -15,9 +15,7 @@ labels are 1-based.
 
 from __future__ import annotations
 
-import functools
 import json
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -36,6 +34,8 @@ from .errors import (
 
 ENUM_CAP = 10
 COUNT_CAP = 20
+# The walk's remaining-element sets are int64 masks.
+ELEMENT_CAP = 63
 
 
 @dataclass(frozen=True)
@@ -101,6 +101,8 @@ class Poset:
         """Build from 1-based (a, b) pairs meaning a precedes b."""
         if k < 1:
             raise ParseError(f"element count must be positive, got {k}")
+        if k > ELEMENT_CAP:  # before the k x k matrix is allocated
+            raise TooLarge(f"instances need k <= {ELEMENT_CAP} elements, got {k}")
         pairs = []
         for a, b in relations:
             if not (1 <= a <= k and 1 <= b <= k):
@@ -335,17 +337,9 @@ def encode_cnf(p: Poset) -> str:
 
 # Rows of one step of the batched walk: its peak memory is O(_WALK_CHUNK * k).
 _WALK_CHUNK = 2048
-# The walk's remaining-element sets are int64 masks.
-_MASK_CAP = 63
-
-
-def _cache_entries(k: int) -> int:
-    """Conditions the uniform sampler keeps: 128, fewer above k = 15, where
-    its walk's count tables would pass 64 MB.  A table stores 16 bytes (an
-    int64 mask and an int64 count) per reachable up-set, and an antichain
-    reaches all 2^k of them.  The biased walk keeps k masks per condition,
-    so the biased sampler always keeps 128."""
-    return max(1, min(128, (64 << 20) >> (k + 4)))
+# Each sampler's support cache keeps at most this many conditions and bytes.
+_CACHE_CONDITIONS = 128
+_CACHE_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -369,6 +363,11 @@ class _Support:
     guide: Optional[np.ndarray] = None
     below: Optional[np.ndarray] = None
     upsets: Optional[tuple[np.ndarray, np.ndarray]] = None
+
+    @property
+    def nbytes(self) -> int:
+        arrays = (self.bits, self.cum, self.guide, self.below, *(self.upsets or ()))
+        return sum(a.nbytes for a in arrays if a is not None)
 
 
 class _ExtensionSampler(ConditionalSampler):
@@ -394,26 +393,38 @@ class _ExtensionSampler(ConditionalSampler):
     counted over the up-sets the walk can reach).  Both paths give the same
     law, so enum_cap bounds the memory of a table (one row per extension),
     not the draw's speed.
-    Each sampler keeps the last conditions' supports in an LRU cache.
+    Each sampler keeps its last conditions' supports in an LRU cache of at
+    most _CACHE_CONDITIONS conditions and _CACHE_BYTES bytes of arrays; the
+    newest support stays even when it alone is larger.
     """
 
     _float_weights: Optional[tuple[float, ...]] = None  # walk weights; None is uniform
 
-    def __init__(self, poset: Poset, enum_cap: int = ENUM_CAP, cache_entries: int = 128):
-        if poset.k > _MASK_CAP:
-            raise TooLarge(f"sampling needs k <= {_MASK_CAP}, got {poset.k}")
+    def __init__(self, poset: Poset, enum_cap: int = ENUM_CAP):
+        if poset.k > ELEMENT_CAP:
+            raise TooLarge(f"sampling needs k <= {ELEMENT_CAP}, got {poset.k}")
         self.poset = poset
         self.free_map = poset.free_map
         self.n = self.free_map.n
         self.enum_cap = enum_cap
         self._pairs = np.array(self.free_map.pairs, dtype=np.intp).reshape(-1, 2)
-        # The cache reaches the sampler through a weak reference: a bound
-        # method would make a cycle that keeps a dropped sampler's tables
-        # alive until the garbage collector's next full pass.
-        ref = weakref.ref(self)
-        self._support = functools.lru_cache(maxsize=cache_entries)(
-            lambda condition: ref()._build_support(condition)
-        )
+        self._cache: dict[Condition, Optional[_Support]] = {}  # least recent first
+        self._cache_bytes = 0
+
+    def _support(self, condition: Condition) -> Optional[_Support]:
+        """The cached support under a condition, built on a miss."""
+        cache = self._cache
+        try:
+            support = cache[condition] = cache.pop(condition)  # now the most recent
+        except KeyError:
+            support = cache[condition] = self._build_support(condition)
+            self._cache_bytes += support.nbytes if support else 0
+            while len(cache) > 1 and (
+                len(cache) > _CACHE_CONDITIONS or self._cache_bytes > _CACHE_BYTES
+            ):
+                evicted = cache.pop(next(iter(cache)))
+                self._cache_bytes -= evicted.nbytes if evicted else 0
+        return support
 
     def _build_support(self, condition: Condition) -> Optional[_Support]:
         """The support under a condition; None when the condition is contradictory."""
@@ -541,7 +552,7 @@ class UniformExtensionSampler(_ExtensionSampler, KnownDistribution):
     """
 
     def __init__(self, poset: Poset, enum_cap: int = ENUM_CAP):
-        super().__init__(poset, enum_cap, _cache_entries(poset.k))
+        super().__init__(poset, enum_cap)
         self.total = count_extensions(poset)
 
     def mass(self, x: Bits) -> float:

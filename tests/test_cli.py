@@ -162,6 +162,52 @@ def test_budget_exhaustion_gives_partial_report(figure1_path, capsys):
     assert report["wall_time"] > 0
 
 
+_ESTIMATOR = {"alpha", "delta", "delta_prime", "gamma", "k", "n", "zeta"}
+_RUN = {"sampler", "threads", "max_samples"}
+
+
+@pytest.mark.parametrize(
+    "argv, code, verdict, keys",
+    [
+        (["estimate", "--sampler", "uniform"], 0, None, _ESTIMATOR | _RUN),
+        (["estimate", "--sampler", "uniform", "--max-samples", "5000"], 2, None,
+         {"zeta", "delta"} | _RUN),
+        (["test", "--sampler", "uniform"], 0, "A",
+         {"epsilon", "eta", "delta", "zeta", "delta_t", "threshold"}
+         | {f"est_{k}" for k in _ESTIMATOR} | _RUN),
+        (["test", "--sampler", "biased:1,2,3,4", "--max-samples", "5000"], 2, None,
+         {"epsilon", "eta", "delta"} | _RUN),
+    ],
+    ids=["estimate", "estimate-partial", "test", "test-partial"],
+)
+def test_report_params(figure1_path, capsys, argv, code, verdict, keys):
+    # a complete report names every parameter; a partial one only the
+    # command's flags, with the sampler, threads and budget
+    assert run_cli([argv[0], figure1_path, *argv[1:], "--format", "json"]) == code
+    report = _json_report(capsys)
+    assert set(report["params"]) == keys
+    assert report["verdict"] == verdict
+    assert report["partial"] is (code == 2)
+    assert 0.0 <= report["estd_dtv"] < 1.0 and report["samples"] > 0
+
+
+def test_test_table_row_shows_verdict(figure1_path, antichain3_path, capsys):
+    assert run_cli(["test", figure1_path, "--sampler", "uniform", "--seed", "7"]) == 0
+    assert capsys.readouterr().out.strip().splitlines()[1].split()[4] == "A"
+    assert run_cli(["test", antichain3_path, "--sampler", "biased:1,100,10000", "--seed", "3"]) == 3
+    assert capsys.readouterr().out.strip().splitlines()[1].split()[4] == "R"
+
+
+def test_oversized_instance_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text('{"elements": 100000, "relations": []}')
+    assert run_cli(["estimate", str(path), "--sampler", "uniform"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    for size in ("0", "64"):
+        assert run_cli(["gen", "--family", "avgdeg", "--param", "1", "--size", size]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_bad_threads_or_budget_is_usage_error(figure1_path):
     for command in ("estimate", "test"):
         for flag in (["--threads", "0"], ["--max-samples", "-5"]):

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -45,7 +46,8 @@ from subtv.errors import (
 )
 from subtv.instances import generate_instance, instance_to_json
 from subtv.oracle import conditioned
-from subtv.posets import ENUM_CAP, _WALK_CHUNK, _cache_entries, _upset_counts
+from subtv import posets
+from subtv.posets import ENUM_CAP, _WALK_CHUNK, _upset_counts
 
 from conftest import small_posets
 
@@ -278,6 +280,22 @@ def test_caps():
         enumerate_extensions(Poset.from_relations(11, []))
     with pytest.raises(TooLarge):
         count_extensions(Poset.from_relations(21, []))
+
+
+def test_oversized_document_is_rejected_before_allocating():
+    # the walk's int64 masks cap an instance at 63 elements; a larger one
+    # fails before its k x k matrix (10 GB at k = 100000) is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="k <= 63"):
+            parse_poset('{"elements": 100000, "relations": []}')
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert Poset.from_relations(63, []).k == 63
+    with pytest.raises(TooLarge):
+        Poset.from_relations(64, [])
 
 
 def test_count_matches_enumeration_on_small_posets():
@@ -590,13 +608,39 @@ def test_table_draws_pick_the_binary_search_row(figure1, name):
     assert spent < 1.0, spent
 
 
+def _count_builds(sampler) -> list[int]:
+    """Count the sampler's support builds in the returned one-item list."""
+    builds, build = [0], sampler._build_support
+
+    def counted(condition):
+        builds[0] += 1
+        return build(condition)
+
+    sampler._build_support = counted
+    return builds
+
+
+def _assert_cache_bytes(sampler):
+    sizes = [s.nbytes for s in sampler._cache.values() if s is not None]
+    assert sampler._cache_bytes == sum(sizes)
+    assert sum(sizes) <= posets._CACHE_BYTES or len(sizes) == 1
+
+
 def test_biased_cache_is_not_sized_by_count_tables():
-    # only the uniform walk keeps 2^k-sized count tables; the biased walk
-    # keeps k masks per condition
+    # the cache is bounded in bytes, not by k: avgdeg_1_020_0's sparse count
+    # tables are small, so the uniform sampler keeps 128 conditions at k = 20,
+    # as the biased sampler does, whose walk keeps k masks per condition
     p = parse_poset(instance_to_json(generate_instance("avgdeg", "1", 20, 0)))
-    assert biased_extension_sampler(p, (1,) * 20)._support.cache_parameters()["maxsize"] == 128
-    uniform = uniform_extension_sampler(p)
-    assert uniform._support.cache_parameters()["maxsize"] == _cache_entries(20) < 128
+    conds = [make_condition([(i, b)], p.free_map.n) for i in range(65) for b in (0, 1)]
+    for sampler in (uniform_extension_sampler(p), biased_extension_sampler(p, (1,) * 20)):
+        builds = _count_builds(sampler)
+        for cond in conds:
+            sampler._support(cond)
+        assert builds == [130] and len(sampler._cache) == 128
+        _assert_cache_bytes(sampler)
+        for cond in conds[2:]:  # the 128 most recent: all cached
+            sampler._support(cond)
+        assert builds == [130]
 
 
 def test_support_cache_is_bounded():
@@ -614,20 +658,43 @@ def test_support_cache_is_bounded():
     walking.enum_cap = 0
     rng = rng_stream(43)
     for kind, sampler in (("uniform", uniform_extension_sampler(p)), ("biased", walking)):
+        builds = _count_builds(sampler)
         for cond in conds:
             sampler.draw_many(cond, 1, rng)
-        info = sampler._support.cache_info()
-        assert info.misses == 300 and info.currsize <= 128
+        assert builds == [300] and len(sampler._cache) == 128
         exact = exact_distribution(p, kind, weights).support
         _assert_matches(sampler.draw_many(FULL_CUBE, 3000, rng), exact)
-        assert sampler._support.cache_info().misses == 301
-    # At large k the cache keeps fewer conditions, so that the uniform walk's
-    # count tables stay within 64 MB even for an antichain, whose up-sets are
-    # all 2^k subsets: the worst case.
-    for k in range(17, 21):
-        masks, counts = _upset_counts(Poset.from_relations(k, []))
-        assert len(masks) == 2**k and _cache_entries(k) >= 1
-        assert _cache_entries(k) * (masks.nbytes + counts.nbytes) <= 64 << 20
+        assert builds == [301]
+
+
+def test_support_cache_is_bounded_in_bytes(monkeypatch):
+    # a 9-antichain's root table is about 23 MB and each one-bit condition
+    # halves it: the cache drops its least recent tables to stay in 64 MB
+    p = Poset.from_relations(9, [])
+    sampler = uniform_extension_sampler(p)
+    conds = [FULL_CUBE] + [make_condition([(i, 1)], p.free_map.n) for i in range(5)]
+    sizes = []
+    for cond in conds:
+        sizes.append(sampler._support(cond).nbytes)
+        _assert_cache_bytes(sampler)
+    assert sizes[0] > 20 << 20 and sum(sizes) > posets._CACHE_BYTES
+    assert list(sampler._cache) == conds[1:]
+    # the newest support stays even when it alone passes the bound
+    monkeypatch.setattr(posets, "_CACHE_BYTES", 1 << 20)
+    cond = make_condition([(5, 1)], p.free_map.n)
+    sampler._support(cond)
+    assert list(sampler._cache) == [cond]
+    _assert_cache_bytes(sampler)
+    # the walk's count tables count too: a 17-antichain's are 2 MB at the
+    # full cube and 1.5 MB under a one-bit condition, so 4 MB holds two
+    monkeypatch.setattr(posets, "_CACHE_BYTES", 4 << 20)
+    p = Poset.from_relations(17, [])
+    walking = uniform_extension_sampler(p)
+    conds = [FULL_CUBE] + [make_condition([(i, 1)], p.free_map.n) for i in range(3)]
+    for cond in conds:
+        assert walking._support(cond).upsets is not None
+        _assert_cache_bytes(walking)
+    assert list(walking._cache) == conds[2:]
 
 
 def test_no_numpy_ma_import():

@@ -145,6 +145,8 @@ def estimate_tv(
     """
     if sampler.n != known.n:
         raise DimensionMismatch(f"sampler has n={sampler.n}, known has n={known.n}")
+    if seed < 0:  # a seed sequence takes only non-negative integers
+        raise InvalidParameter(f"seed must be at least 0, got {seed}")
     if threads < 1:
         raise InvalidParameter(f"threads must be at least 1, got {threads}")
     if max_total_samples is not None and max_total_samples < 0:

@@ -91,13 +91,13 @@ def gbas_estimate(
                 f"{draws} draws produced only {s}/{k} successes", draws=draws
             )
         m = int(min(batch, limit - draws))
-        values = sampler.draw_coordinate(condition, coord, m, rng)
-        hits = np.flatnonzero(np.asarray(values) == head)
-        if s + len(hits) >= k:
+        hit = np.asarray(sampler.draw_coordinate(condition, coord, m, rng)) == head
+        hits = int(np.count_nonzero(hit))
+        if s + hits >= k:
             # The k-th success lands inside this batch; stop the count at it.
-            draws += int(hits[k - s - 1]) + 1
+            draws += int(np.flatnonzero(hit)[k - s - 1]) + 1
             break
-        s += len(hits)
+        s += hits
         draws += m
         # With no success yet, one is assumed; the cap at the draws so far
         # then doubles the total.

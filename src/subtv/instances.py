@@ -69,17 +69,22 @@ def generate_instance(family: str, param, size: int, index: int) -> dict:
     """An instance document for the given family coordinates."""
     if not 1 <= size <= ELEMENT_CAP:  # the sizes an instance document may have
         raise InvalidParameter(f"size must lie in 1..{ELEMENT_CAP}, got {size}")
+    if family not in FAMILIES:
+        raise InvalidParameter(f"unknown family {family!r}, expected one of {FAMILIES}")
+    try:
+        value = float(param)
+    except (TypeError, ValueError):
+        raise InvalidParameter(f"param must be a number, got {param!r}") from None
     name = instance_name(family, param, size, index)
     rng = rng_stream(instance_seed(name))
     if family == "avgdeg":
-        relations = _avgdeg_relations(size, float(param), rng)
-    elif family == "bipartite":
-        p = float(param)
-        if not 0.0 <= p <= 1.0:
-            raise InvalidParameter(f"orientation probability must lie in [0, 1], got {p}")
-        relations = _bipartite_relations(size, p, rng)
+        if not 0.0 <= value < np.inf:
+            raise InvalidParameter(f"average indegree must be finite and non-negative, got {param}")
+        relations = _avgdeg_relations(size, value, rng)
     else:
-        raise InvalidParameter(f"unknown family {family!r}, expected one of {FAMILIES}")
+        if not 0.0 <= value <= 1.0:
+            raise InvalidParameter(f"orientation probability must lie in [0, 1], got {param}")
+        relations = _bipartite_relations(size, value, rng)
     return {"name": name, "elements": size, "relations": relations}
 
 

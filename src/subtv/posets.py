@@ -16,7 +16,8 @@ labels are 1-based.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -349,10 +350,9 @@ class _Support:
     Up to enum_cap elements, the exact support table, one row per extension
     in backtracking order: `bits`, each free bit's values over the rows
     (n x rows, so one coordinate's values are contiguous), `cum`, the rows'
-    cumulative probabilities, and `guide`, G buckets for G the least power
-    of two of at least 2 per row: guide[g] is the first row whose cum
-    exceeds g / G.  A row costs n + 8 bytes, and 16 to 32 more for its 2 to
-    4 int64 buckets.
+    cumulative probabilities, and `values`, the value guides of the
+    coordinates drawn so far (see _value_guide).  A row costs n + 8 bytes,
+    and 2 to 4 more for each coordinate's guide.
     Above enum_cap, the batched walk's inputs: the conditioned poset's
     strict-predecessor masks and, for the uniform sampler, the up-sets the
     walk can reach, sorted, with their counts of linear orders.
@@ -360,14 +360,36 @@ class _Support:
 
     bits: Optional[np.ndarray] = None
     cum: Optional[np.ndarray] = None
-    guide: Optional[np.ndarray] = None
     below: Optional[np.ndarray] = None
     upsets: Optional[tuple[np.ndarray, np.ndarray]] = None
+    values: dict[int, np.ndarray] = field(default_factory=dict)
 
     @property
     def nbytes(self) -> int:
-        arrays = (self.bits, self.cum, self.guide, self.below, *(self.upsets or ()))
+        arrays = (self.bits, self.cum, self.below, *(self.upsets or ()), *self.values.values())
         return sum(a.nbytes for a in arrays if a is not None)
+
+
+def _value_guide(bits: np.ndarray, cum: np.ndarray) -> np.ndarray:
+    """One coordinate's bit for each of G buckets of u, or 2 where it varies.
+
+    G is the least power of two of at least 2 per row, so u * G and g / G
+    are exact (Chen and Asau, 1974; Devroye 1986, III.2.4).  The bit flips
+    after row r at u = cum[r].  The u in [g / G, (g + 1) / G) pick rows
+    that disagree exactly when a flip lies strictly inside the bucket;
+    otherwise they share the bit of the row u = g / G picks, which is
+    bits[0] flipped once per flip at or below g / G: those with
+    ceil(cum[r] * G) <= g, counted by one bincount.  Rounding can leave a
+    cum just above 1 before the last row; no u < 1 picks a row past it, so
+    a flip there lies in no bucket.
+    """
+    G = 2 << (len(cum) - 1).bit_length()
+    at = cum[np.flatnonzero(bits[1:] != bits[:-1])] * G
+    flips = np.bincount(np.ceil(at).astype(np.intp), minlength=G + 1)[:G]
+    values = (np.cumsum(flips, dtype=np.uint8) & 1) ^ bits[0]  # uint8 keeps the parity
+    inside = at[(at < G) & (at != np.floor(at))]
+    values[inside.astype(np.intp)] = 2
+    return values
 
 
 class _ExtensionSampler(ConditionalSampler):
@@ -383,19 +405,21 @@ class _ExtensionSampler(ConditionalSampler):
     has at most enum_cap elements it is a lookup in an exact support table
     per condition, built level by level: each step expands every partial
     extension by each of its minimal elements and multiplies its
-    probability by the walk's for that element.  A lookup is a guide-table
-    search (Chen and Asau, 1974): it starts at the guide's bucket of u and
-    steps past rows whose cum is at most u, so it picks the row that a
-    binary search of u in cum would.  Above enum_cap it is the
-    batched walk: all rows of a call advance together, one element per
+    probability by the walk's for that element.  A draw takes one uniform
+    u and the row that a binary search of u in cum picks; draw_coordinate
+    reads that row's bit from the coordinate's value guide, searching only
+    for the u whose bucket holds rows that disagree.  Above enum_cap it is
+    the batched walk: all rows of a call advance together, one element per
     step, each picking among its current minimal elements by weight
     (biased) or by the number of extensions that start with each (uniform,
     counted over the up-sets the walk can reach).  Both paths give the same
     law, so enum_cap bounds the memory of a table (one row per extension),
     not the draw's speed.
     Each sampler keeps its last conditions' supports in an LRU cache of at
-    most _CACHE_CONDITIONS conditions and _CACHE_BYTES bytes of arrays; the
-    newest support stays even when it alone is larger.
+    most _CACHE_CONDITIONS conditions and _CACHE_BYTES bytes of arrays,
+    value guides included; the newest support stays even when it alone is
+    larger.  One lock guards the cache, its byte count and the guides, so
+    threads drawing from one sampler build each support once.
     """
 
     _float_weights: Optional[tuple[float, ...]] = None  # walk weights; None is uniform
@@ -410,15 +434,24 @@ class _ExtensionSampler(ConditionalSampler):
         self._pairs = np.array(self.free_map.pairs, dtype=np.intp).reshape(-1, 2)
         self._cache: dict[Condition, Optional[_Support]] = {}  # least recent first
         self._cache_bytes = 0
+        self._cache_lock = threading.Lock()
 
-    def _support(self, condition: Condition) -> Optional[_Support]:
-        """The cached support under a condition, built on a miss."""
-        cache = self._cache
-        try:
-            support = cache[condition] = cache.pop(condition)  # now the most recent
-        except KeyError:
-            support = cache[condition] = self._build_support(condition)
-            self._cache_bytes += support.nbytes if support else 0
+    def _support(self, condition: Condition, coord: Optional[int] = None) -> Optional[_Support]:
+        """The cached support under a condition, built on a miss.
+
+        With a coordinate, a table support also holds its value guide.
+        """
+        with self._cache_lock:
+            cache = self._cache
+            try:
+                support = cache[condition] = cache.pop(condition)  # now the most recent
+            except KeyError:
+                support = cache[condition] = self._build_support(condition)
+                self._cache_bytes += support.nbytes if support else 0
+            table = support is not None and support.cum is not None
+            if table and coord is not None and coord not in support.values:
+                guide = support.values[coord] = _value_guide(support.bits[coord], support.cum)
+                self._cache_bytes += guide.nbytes
             while len(cache) > 1 and (
                 len(cache) > _CACHE_CONDITIONS or self._cache_bytes > _CACHE_BYTES
             ):
@@ -456,11 +489,7 @@ class _ExtensionSampler(ConditionalSampler):
         bits = bits.T.astype(np.uint8, order="C")
         cum = np.cumsum(prob / prob.sum())
         cum[-1] = 1.0
-        # A power of two makes cum * G and g / G exact.  Row r counts in the
-        # buckets g >= ceil(cum[r] * G), those with cum[r] <= g / G.
-        G = 2 << (len(cum) - 1).bit_length()
-        guide = np.cumsum(np.bincount(np.ceil(cum * G).astype(np.intp), minlength=G + 1)[:G])
-        return _Support(bits=bits, cum=cum, guide=guide)
+        return _Support(bits=bits, cum=cum)
 
     def _walk(self, support: _Support, m: int, rng: np.random.Generator):
         """Yield (first row, positions) for m walks, _WALK_CHUNK walks at a time.
@@ -506,21 +535,19 @@ class _ExtensionSampler(ConditionalSampler):
                 mask ^= bit[pick, 0]
             yield first, pos
 
-    def _draw(self, condition: Condition, cols, m: int, rng: np.random.Generator) -> np.ndarray:
+    def _draw(
+        self,
+        support: Optional[_Support],
+        condition: Condition,
+        cols,
+        m: int,
+        rng: np.random.Generator,
+    ) -> np.ndarray:
         """Free bits cols (a slice, or one coordinate) of m conditional draws."""
-        support = self._support(condition)
         if support is None:
             return uniform_fallback_many(condition, self.n, m, rng)[:, cols]
         if support.cum is not None:
-            # The row is searchsorted(cum, u, side="right"): the guide's row
-            # for u's bucket, then one step, then a binary search for the few
-            # draws still short of their row.
-            cum, u = support.cum, rng.random(m)
-            row = support.guide[(u * len(support.guide)).astype(np.intp)]
-            row += cum[row] <= u
-            short = cum[row] <= u
-            if short.any():
-                row[short] = np.searchsorted(cum, u[short], side="right")
+            row = np.searchsorted(support.cum, rng.random(m), side="right")
             return np.ascontiguousarray(support.bits[cols, row].T)
         pairs = self._pairs[cols]
         out = np.empty((m,) + pairs.shape[:-1], dtype=np.uint8)
@@ -529,15 +556,27 @@ class _ExtensionSampler(ConditionalSampler):
         return out
 
     def draw(self, condition: Condition, rng: np.random.Generator) -> Bits:
-        return tuple(self._draw(condition, slice(None), 1, rng)[0].tolist())
+        return tuple(self.draw_many(condition, 1, rng)[0].tolist())
 
     def draw_many(self, condition: Condition, m: int, rng: np.random.Generator) -> np.ndarray:
-        return self._draw(condition, slice(None), m, rng)
+        return self._draw(self._support(condition), condition, slice(None), m, rng)
 
     def draw_coordinate(
         self, condition: Condition, coord: int, m: int, rng: np.random.Generator
     ) -> np.ndarray:
-        return self._draw(condition, coord, m, rng)
+        support = self._support(condition, coord)
+        if support is None or support.cum is None:
+            return self._draw(support, condition, coord, m, rng)
+        # The bit of the row searchsorted(cum, u, side="right") picks: its
+        # bucket's value, searched for only where the bucket's rows disagree.
+        guide, u = support.values[coord], rng.random(m)
+        u *= len(guide)  # exact, and undone exactly: a power of two
+        out = guide[u.astype(np.intp)]
+        mixed = np.flatnonzero(out == 2)
+        if len(mixed):
+            row = np.searchsorted(support.cum, u[mixed] / len(guide), side="right")
+            out[mixed] = support.bits[coord, row]
+        return out
 
 
 class UniformExtensionSampler(_ExtensionSampler, KnownDistribution):

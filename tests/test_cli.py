@@ -208,6 +208,25 @@ def test_oversized_instance_is_usage_error(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["estimate", "test"])
+def test_negative_seed_is_parameter_error(figure1_path, capsys, command):
+    assert run_cli([command, figure1_path, "--sampler", "uniform", "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "family,param",
+    [("avgdeg", "abc"), ("bipartite", "abc"), ("avgdeg", "-1"), ("avgdeg", "nan"), ("avgdeg", "inf")],
+)
+def test_bad_gen_param_is_parameter_error(capsys, family, param):
+    # a param that is no number, or an average indegree that is negative or
+    # not finite (nan and inf would give a total order)
+    assert run_cli(["gen", "--family", family, "--param", param, "--size", "6"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_bad_threads_or_budget_is_usage_error(figure1_path):
     for command in ("estimate", "test"):
         for flag in (["--threads", "0"], ["--max-samples", "-5"]):

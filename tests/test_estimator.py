@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import pytest
@@ -209,3 +211,26 @@ def test_estimate_tv_budget_exhaustion(figure1):
         estimate_tv(unknown, unknown, 0.3, 0.2, seed=0, max_total_samples=5000)
     assert err.value.draws >= 5000
     assert 0 < len(err.value.partial_terms) < 67
+
+
+@pytest.mark.parametrize(
+    "param,size,dtv,samples,terms_sha256",
+    [
+        # k = 10: table draws, on a table of thousands of rows
+        ("1", 10, 0.5182980403089379, 4740475,
+         "0ae39b89ecff165b430f3d5bdf9c4fb588890377c56368883c3f7a9ee2193620"),
+        # k = 14 > ENUM_CAP: the batched walk
+        ("4", 14, 0.15752948320853633, 172964,
+         "d086e0ca58cb30b9aaa690b93a38596321184471b6bf2fca611ddc314f91199a"),
+    ],
+)
+def test_golden_reports(param, size, dtv, samples, terms_sha256):
+    # a report is a pure function of (instance, samplers, zeta, delta, seed):
+    # a faster draw must return every draw's bit unchanged
+    p = parse_poset(instance_to_json(generate_instance("avgdeg", param, size, 0)))
+    weights = ((1, 2, 3, 4, 5, 6, 7) * 2)[:size]
+    sampler = biased_extension_sampler(p, weights)
+    report = estimate_tv(sampler, uniform_extension_sampler(p), 0.9, 0.2, seed=5)
+    assert report.dtv_estimate == dtv and report.total_samples == samples
+    terms = json.dumps(report.per_sample_terms).encode()
+    assert hashlib.sha256(terms).hexdigest() == terms_sha256

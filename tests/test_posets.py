@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from collections import Counter
@@ -531,13 +532,24 @@ def _assert_draws_match_oracle(enum_cap):
     ):
         assert (sampler._support(FULL_CUBE).cum is not None) == (enum_cap >= p.k)
         exact = exact_distribution(p, kind, weights, cap=11).support
-        draws = sampler.draw_many(FULL_CUBE, m, rng_stream(42))
+        rng = rng_stream(42)
+        draws = sampler.draw_many(FULL_CUBE, m, rng)
         assert draws.shape == (m, p.free_map.n) and draws.dtype == np.uint8
         assert draws.flags.c_contiguous
         _assert_matches(draws, exact)
-        # draw_coordinate is the projection of draw_many on the same stream
-        column = sampler.draw_coordinate(FULL_CUBE, 3, m, rng_stream(42))
-        assert np.array_equal(column, draws[:, 3])
+        if enum_cap >= p.k:  # a table draw takes one uniform per draw
+            reference = rng_stream(42)
+            reference.random(m)
+            assert rng.bit_generator.state == reference.bit_generator.state
+        # draw_coordinate is the projection of draw_many on the same stream,
+        # and leaves the stream where draw_many does
+        for coord in range(p.free_map.n):
+            rng_coord = rng_stream(42)
+            column = sampler.draw_coordinate(FULL_CUBE, coord, m, rng_coord)
+            assert column.dtype == np.uint8
+            assert np.array_equal(column, draws[:, coord])
+            assert rng_coord.bit_generator.state == rng.bit_generator.state
+        _assert_cache_bytes(sampler)
 
 
 def test_walk_matches_oracle_above_enum_cap():
@@ -581,31 +593,41 @@ def _table_sampler(name, figure1):
         p = parse_poset(instance_to_json(generate_instance("avgdeg", "2", 10, 0)))
         return biased_extension_sampler(p, (1,) * 10)
     # weights 10^-i: most of the 9! extensions have tiny probabilities, so
-    # thousands of rows share a guide bucket
+    # thousands of rows share a value-guide bucket
     return biased_extension_sampler(Poset.from_relations(9, []), [10.0**-i for i in range(9)])
 
 
 @pytest.mark.parametrize("name", ["figure1", "avgdeg_2_010_0", "skewed_antichain9"])
 def test_table_draws_pick_the_binary_search_row(figure1, name):
     # at every boundary u can meet, a table draw picks the row that
-    # searchsorted(cum, u, side="right") picks: on each cum and each guide
-    # bucket's edge, and on the float just below either
+    # searchsorted(cum, u, side="right") picks, and a coordinate draw that
+    # row's bit: on each cum and each value-guide bucket's edge g / G, and
+    # on the float just below either
     sampler = _table_sampler(name, figure1)
     support = sampler._support(FULL_CUBE)
-    cum, G = support.cum, len(support.guide)
+    cum, G = support.cum, 2 << (len(support.cum) - 1).bit_length()
     if name == "skewed_antichain9":
-        assert np.diff(support.guide).max() >= 1000
+        assert np.bincount((cum * G).astype(np.intp)).max() >= 1000
     edges = np.concatenate([cum, np.arange(G) / G])
     u = np.concatenate([[0.0, 1 - 2**-53], edges, np.nextafter(edges, 0)])
     u = u[u < 1]
-    spent = 0.0  # a fix-up that loops over every draw until none moves takes seconds
+    rows = np.searchsorted(cum, u, side="right")
+    # CPU seconds of each pass over u: the rows, then each coordinate.  A
+    # fix-up that loops over every draw until none moves takes seconds.
+    spent = [0.0]
     for first in range(0, len(u), 1 << 16):
         chunk = u[first : first + (1 << 16)]
         start = time.process_time()
-        draws = sampler._draw(FULL_CUBE, slice(None), len(chunk), _FixedUniform(chunk))
-        spent += time.process_time() - start
-        assert np.array_equal(draws, support.bits.T[np.searchsorted(cum, chunk, side="right")])
-    assert spent < 1.0, spent
+        draws = sampler.draw_many(FULL_CUBE, len(chunk), _FixedUniform(chunk))
+        spent[0] += time.process_time() - start
+        assert np.array_equal(draws, support.bits.T[rows[first : first + len(chunk)]])
+    for coord in range(sampler.n):
+        start = time.process_time()
+        bits = sampler.draw_coordinate(FULL_CUBE, coord, len(u), _FixedUniform(u))
+        spent.append(time.process_time() - start)
+        assert np.array_equal(bits, support.bits[coord, rows])
+    assert sorted(support.values) == list(range(sampler.n))
+    assert max(spent) < 1.0, spent
 
 
 def _count_builds(sampler) -> list[int]:
@@ -668,17 +690,26 @@ def test_support_cache_is_bounded():
 
 
 def test_support_cache_is_bounded_in_bytes(monkeypatch):
-    # a 9-antichain's root table is about 23 MB and each one-bit condition
+    # a 9-antichain's root table is about 16 MB and each one-bit condition
     # halves it: the cache drops its least recent tables to stay in 64 MB
     p = Poset.from_relations(9, [])
     sampler = uniform_extension_sampler(p)
-    conds = [FULL_CUBE] + [make_condition([(i, 1)], p.free_map.n) for i in range(5)]
+    conds = [FULL_CUBE] + [make_condition([(i, 1)], p.free_map.n) for i in range(7)]
+    rng = rng_stream(45)
     sizes = []
     for cond in conds:
         sizes.append(sampler._support(cond).nbytes)
+        sampler.draw_coordinate(cond, 35, 10, rng)  # adds a value guide
         _assert_cache_bytes(sampler)
-    assert sizes[0] > 20 << 20 and sum(sizes) > posets._CACHE_BYTES
+    assert sizes[0] > 15 << 20 and sum(sizes) > posets._CACHE_BYTES
     assert list(sampler._cache) == conds[1:]
+    # value guides count too, and leave with their table: 0.5 MB for each
+    # free coordinate drawn under the newest condition evicts two more
+    for coord in range(p.free_map.n):
+        if conds[-1].is_free(coord):
+            sampler.draw_coordinate(conds[-1], coord, 10, rng)
+            _assert_cache_bytes(sampler)
+    assert list(sampler._cache) == conds[3:]
     # the newest support stays even when it alone passes the bound
     monkeypatch.setattr(posets, "_CACHE_BYTES", 1 << 20)
     cond = make_condition([(5, 1)], p.free_map.n)
@@ -695,6 +726,41 @@ def test_support_cache_is_bounded_in_bytes(monkeypatch):
         assert walking._support(cond).upsets is not None
         _assert_cache_bytes(walking)
     assert list(walking._cache) == conds[2:]
+
+
+def test_support_cache_under_threads():
+    # more threads than cores, switching every microsecond, draw from one
+    # sampler: each condition is built once, and the cache's byte count is
+    # the bytes it holds, value guides included
+    p = parse_poset(instance_to_json(generate_instance("avgdeg", "1", 10, 4)))
+    sampler = biased_extension_sampler(p, (1,) * 10)
+    builds = _count_builds(sampler)
+    conds = [FULL_CUBE] + [make_condition([(i, b)], p.free_map.n) for i in range(8) for b in (0, 1)]
+    deadline = time.monotonic() + 60
+
+    def work(seed):
+        rng = rng_stream(46, seed)
+        for _ in range(3):
+            for j in rng.permutation(len(conds)):
+                if time.monotonic() > deadline:
+                    return
+                sampler.draw_coordinate(conds[j], 8 + int(rng.integers(4)), 50, rng)
+
+    count = (os.cpu_count() or 1) + 4  # more threads than cores
+    threads = [threading.Thread(target=work, args=(seed,)) for seed in range(count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert time.monotonic() <= deadline
+    assert builds == [len(conds)] and len(sampler._cache) == len(conds)
+    _assert_cache_bytes(sampler)
 
 
 def test_no_numpy_ma_import():

@@ -40,7 +40,6 @@ def main(argv=None):
     ap.add_argument("--eta", type=float, default=0.61)
     ap.add_argument("--delta", type=float, default=0.1)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args(argv)
 
     print(f"{'instance':<22} {'dim':>4} {'sampler':<14} {'estd_dtv':>9} {'#samples':>12} {'A/R':>4} {'secs':>7}")
@@ -55,8 +54,7 @@ def main(argv=None):
             known = uniform_extension_sampler(poset)
             started = time.perf_counter()
             verdict = identity_test(
-                sampler, known, args.epsilon, args.eta, args.delta,
-                seed=args.seed, threads=args.threads,
+                sampler, known, args.epsilon, args.eta, args.delta, seed=args.seed
             )
             secs = time.perf_counter() - started
             row = verdict.estimate

@@ -17,7 +17,6 @@ from .core import (
     make_condition,
     prefix_condition,
     rng_stream,
-    uniform_fallback,
 )
 from .estimator import EstimatorParams, derive_params, estimate_mass, estimate_tv
 from .gbas import gbas_estimate
@@ -33,7 +32,6 @@ from .posets import (
     encode_matrix,
     enumerate_extensions,
     extension_to_bits,
-    fix_free_pair,
     orient_pair,
     parse_poset,
     uniform_extension_sampler,
@@ -70,7 +68,6 @@ __all__ = [
     "exact_marginal",
     "exact_tv",
     "extension_to_bits",
-    "fix_free_pair",
     "gbas_estimate",
     "identity_test",
     "make_condition",
@@ -79,7 +76,6 @@ __all__ = [
     "prefix_condition",
     "rng_stream",
     "uniform_extension_sampler",
-    "uniform_fallback",
 ]
 
 __version__ = "0.1.0"

@@ -56,7 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("instance", help="poset instance file (JSON)")
         p.add_argument("--sampler", required=True, help="uniform | biased-equal | biased:w1,w2,...")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--max-samples", type=int, default=None)
         p.add_argument("--format", choices=("table", "json"), default="table")
 
@@ -145,7 +144,7 @@ def _emit(report: dict, fmt: str) -> None:
 def _run(args, flags: dict, call) -> int:
     """Run one sampling command and emit its report; the exit code follows it.
 
-    call(unknown, known, threads=, max_total_samples=) runs the command and
+    call(unknown, known, max_total_samples=) runs the command and
     returns (EstimateReport, verdict letter or None, params).  When the
     budget runs out, the report is partial: the mean of the terms so far,
     the draws made, and params holding only the command's flags.
@@ -155,16 +154,14 @@ def _run(args, flags: dict, call) -> int:
     known = uniform_extension_sampler(poset)
     started = time.perf_counter()
     try:
-        report, verdict, params = call(
-            unknown, known, threads=args.threads, max_total_samples=args.max_samples
-        )
+        report, verdict, params = call(unknown, known, max_total_samples=args.max_samples)
         estd, samples, partial = report.dtv_estimate, report.total_samples, False
         code = EXIT_REJECT if verdict == "R" else EXIT_OK
     except BudgetExhausted as exc:
         terms = exc.partial_terms
         estd = sum(terms) / len(terms) if terms else None
         samples, verdict, params, partial, code = exc.draws, None, flags, True, EXIT_BUDGET
-    run = {"sampler": args.sampler, "threads": args.threads, "max_samples": args.max_samples}
+    run = {"sampler": args.sampler, "max_samples": args.max_samples}
     _emit(
         {"instance": args.instance, "dim": unknown.n, "estd_dtv": estd, "samples": samples,
          "verdict": verdict, "params": params | run, "seed": args.seed,

@@ -97,23 +97,20 @@ class ConditionalSampler(abc.ABC):
 
     Implementations must return strings agreeing with every fixed coordinate
     of the condition.  When the conditioned mass is zero they must fall back
-    to uniform i.i.d. bits on the free coordinates (see uniform_fallback).
+    to uniform i.i.d. bits on the free coordinates (see uniform_fallback_many).
     Instances hold no mutable draw state; randomness comes only from the
-    caller-provided generator, so they are safe to share across workers.
+    caller-provided generator, so they are safe to share across threads.
     """
 
     n: int
 
     @abc.abstractmethod
-    def draw(self, condition: Condition, rng: np.random.Generator) -> Bits:
-        """One sample consistent with the condition."""
-
     def draw_many(self, condition: Condition, m: int, rng: np.random.Generator) -> np.ndarray:
-        """m samples as an (m, n) uint8 array; default loops over draw()."""
-        out = np.empty((m, self.n), dtype=np.uint8)
-        for t in range(m):
-            out[t] = self.draw(condition, rng)
-        return out
+        """m samples consistent with the condition, as an (m, n) uint8 array."""
+
+    def draw(self, condition: Condition, rng: np.random.Generator) -> Bits:
+        """One sample consistent with the condition: draw_many's one row."""
+        return tuple(self.draw_many(condition, 1, rng)[0].tolist())
 
     def draw_coordinate(
         self, condition: Condition, coord: int, m: int, rng: np.random.Generator
@@ -142,15 +139,11 @@ def evaluate_mass(dist: KnownDistribution, x: Bits) -> float:
     return dist.mass(x)
 
 
-def uniform_fallback(condition: Condition, n: int, rng: np.random.Generator) -> Bits:
-    """Uniform draw from a zero-mass subcube: fixed bits forced, free bits fair coins."""
-    return tuple(uniform_fallback_many(condition, n, 1, rng)[0].tolist())
-
-
 def uniform_fallback_many(
     condition: Condition, n: int, m: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """m uniform_fallback draws as an (m, n) uint8 array."""
+    """m uniform draws from a zero-mass subcube as an (m, n) uint8 array:
+    fixed bits forced, free bits fair coins."""
     out = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
     for i, b in condition.fixed:
         out[:, i] = b
@@ -175,18 +168,9 @@ class ProductSampler(ConditionalSampler, KnownDistribution):
     def _zero_mass(self, condition: Condition) -> bool:
         return any(self.probs[i] == (1.0 - b) for i, b in condition.fixed)
 
-    def draw(self, condition: Condition, rng: np.random.Generator) -> Bits:
-        if self._zero_mass(condition):
-            return uniform_fallback(condition, self.n, rng)
-        u = rng.random(self.n)
-        bits = [1 if u[i] < self.probs[i] else 0 for i in range(self.n)]
-        for i, b in condition.fixed:
-            bits[i] = b
-        return tuple(bits)
-
     def draw_many(self, condition: Condition, m: int, rng: np.random.Generator) -> np.ndarray:
         if self._zero_mass(condition):
-            return super().draw_many(condition, m, rng)
+            return uniform_fallback_many(condition, self.n, m, rng)
         u = rng.random((m, self.n))
         out = (u < np.asarray(self.probs)).astype(np.uint8)
         for i, b in condition.fixed:
@@ -197,7 +181,7 @@ class ProductSampler(ConditionalSampler, KnownDistribution):
         self, condition: Condition, coord: int, m: int, rng: np.random.Generator
     ) -> np.ndarray:
         if self._zero_mass(condition):
-            return super().draw_many(condition, m, rng)[:, coord]
+            return uniform_fallback_many(condition, self.n, m, rng)[:, coord]
         b = condition.bit_at(coord)
         if b is not None:
             return np.full(m, b, dtype=np.uint8)

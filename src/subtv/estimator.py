@@ -11,7 +11,6 @@ of the distance.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .core import (
@@ -138,46 +137,33 @@ def estimate_tv(
     """Estimate the TV distance between the sampler and the known distribution.
 
     With probability at least 1 - delta the result is within an additive
-    zeta of the true distance.  Outer iterations are independent; iteration
-    j always uses stream (seed, j), so the report is identical for any
-    thread count.  When max_total_samples is exhausted between iteration
-    chunks a BudgetExhausted carrying the partial terms is raised.
+    zeta of the true distance.  Iteration j always uses stream (seed, j),
+    so the report is a pure function of the arguments.  When
+    max_total_samples is exhausted between iterations a BudgetExhausted
+    carrying the partial terms is raised.  threads is accepted and ignored:
+    the loop runs on the calling thread, and the keyword goes once the
+    benchmark stops passing it (ROADMAP item 1).
     """
     if sampler.n != known.n:
         raise DimensionMismatch(f"sampler has n={sampler.n}, known has n={known.n}")
     if seed < 0:  # a seed sequence takes only non-negative integers
         raise InvalidParameter(f"seed must be at least 0, got {seed}")
-    if threads < 1:
-        raise InvalidParameter(f"threads must be at least 1, got {threads}")
     if max_total_samples is not None and max_total_samples < 0:
         raise InvalidParameter(f"max_total_samples must be at least 0, got {max_total_samples}")
     params = derive_params(sampler.n, zeta, delta)
     terms: list[float] = []
     total = 0
-    pending = list(range(params.alpha))
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        while pending:
-            if max_total_samples is not None and total >= max_total_samples:
-                raise BudgetExhausted(
-                    f"budget of {max_total_samples} samples exhausted after "
-                    f"{len(terms)}/{params.alpha} iterations",
-                    draws=total,
-                    partial_terms=terms,
-                )
-            batch, pending = pending[:threads], pending[threads:]
-            if pool is not None:
-                results = list(
-                    pool.map(lambda j: _one_term(sampler, known, params, seed, j), batch)
-                )
-            else:
-                results = [_one_term(sampler, known, params, seed, j) for j in batch]
-            for term, draws in results:
-                terms.append(term)
-                total += draws
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for j in range(params.alpha):
+        if max_total_samples is not None and total >= max_total_samples:
+            raise BudgetExhausted(
+                f"budget of {max_total_samples} samples exhausted after "
+                f"{len(terms)}/{params.alpha} iterations",
+                draws=total,
+                partial_terms=terms,
+            )
+        term, draws = _one_term(sampler, known, params, seed, j)
+        terms.append(term)
+        total += draws
     return EstimateReport(
         dtv_estimate=sum(terms) / len(terms),
         total_samples=total,

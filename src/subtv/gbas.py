@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Condition, ConditionalSampler
-from .errors import BudgetExhausted, InvalidParameter
+from .errors import BudgetExhausted, IndexOutOfRange, InvalidParameter
 
 # Per-call allocation cap, not a draw budget.
 _MAX_BATCH = 1 << 22
@@ -67,13 +67,16 @@ def gbas_estimate(
 ) -> GbasResult:
     """Estimate p = Pr[draw(condition)[coord] == head] from k successes.
 
+    coord must lie in [0, sampler.n) and k must be an integer of at least 2.
     max_draws caps the sampler calls and must be a non-negative integer;
     None means no cap.  No batch asks for draws past the cap.  Raises
     BudgetExhausted if max_draws calls pass before the k-th success (at
     once for 0), which signals p ~ 0 or a broken sampler.
     """
-    if k < 2:
-        raise InvalidParameter(f"k must be at least 2, got {k}")
+    if not isinstance(k, (int, np.integer)) or k < 2:
+        raise InvalidParameter(f"k must be an integer of at least 2, got {k}")
+    if not 0 <= coord < sampler.n:
+        raise IndexOutOfRange(f"coordinate {coord} outside dimension {sampler.n}")
     if head not in (0, 1):
         raise InvalidParameter(f"head must be 0 or 1, got {head}")
     if not condition.is_free(coord):

@@ -27,11 +27,13 @@ class ExactDistribution:
         return self.support.get(tuple(x), Fraction(0))
 
 
-def _greedy_step_products(p: Poset, order: tuple[int, ...], weights: Sequence[Fraction]) -> Fraction:
-    mask = (1 << p.k) - 1
+def _greedy_step_products(
+    below: list[int], order: tuple[int, ...], weights: Sequence[Fraction]
+) -> Fraction:
+    mask = (1 << len(below)) - 1
     prob = Fraction(1)
     for e in order:
-        minimals = p.minimal_in(mask)
+        minimals = [m for m in range(len(below)) if mask >> m & 1 and not below[m] & mask]
         if len(minimals) > 1:
             prob *= weights[e] / sum(weights[m] for m in minimals)
         mask ^= 1 << e
@@ -73,8 +75,9 @@ def exact_distribution(
         ws = _exact_weights(weights)
         if len(ws) != p.k or any(w <= 0 for w in ws):
             raise ValueError(f"need {p.k} positive weights")
+        below = p.below_masks.tolist()
         support = {
-            extension_to_bits(e, fm): _greedy_step_products(p, e.order, ws) for e in exts
+            extension_to_bits(e, fm): _greedy_step_products(below, e.order, ws) for e in exts
         }
     else:
         raise ValueError(f"unknown sampler kind {kind!r}")

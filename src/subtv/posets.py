@@ -18,20 +18,12 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .core import Bits, Condition, ConditionalSampler, KnownDistribution, uniform_fallback_many
-from .errors import (
-    ContradictionError,
-    CycleError,
-    InvalidEncoding,
-    ParseError,
-    TooLarge,
-    ZeroMassPrefix,
-)
+from .errors import ContradictionError, CycleError, InvalidEncoding, ParseError, TooLarge
 
 ENUM_CAP = 10
 COUNT_CAP = 20
@@ -82,6 +74,12 @@ def _add_relations(
     return leq
 
 
+def _element_masks(leq: np.ndarray) -> np.ndarray:
+    """masks[e]: int64 bitmask of the elements f != e with leq[e, f]."""
+    bit = np.left_shift(1, np.arange(len(leq), dtype=np.int64))
+    return np.where(leq, bit, 0).sum(axis=1) - bit
+
+
 class Poset:
     """Immutable partial order; ``leq[i, j]`` is True iff i precedes-or-equals j.
 
@@ -95,7 +93,7 @@ class Poset:
         self.k = leq.shape[0]
         self.leq = leq
         self._free_map: Optional[FreeBitMap] = None
-        self._below: Optional[list[int]] = None
+        self._below: Optional[np.ndarray] = None
 
     @classmethod
     def from_relations(cls, k: int, relations: Iterable[tuple[int, int]]) -> "Poset":
@@ -125,22 +123,11 @@ class Poset:
         return self._free_map
 
     @property
-    def below_masks(self) -> list[int]:
-        """below_masks[e]: bitmask of the strict predecessors of e."""
+    def below_masks(self) -> np.ndarray:
+        """below_masks[e]: int64 bitmask of the strict predecessors of e."""
         if self._below is None:
-            masks = []
-            for e in range(self.k):
-                m = 0
-                for a in range(self.k):
-                    if a != e and self.leq[a, e]:
-                        m |= 1 << a
-                masks.append(m)
-            self._below = masks
+            self._below = _element_masks(self.leq.T)
         return self._below
-
-    def minimal_in(self, mask: int) -> list[int]:
-        below = self.below_masks
-        return [e for e in range(self.k) if (mask >> e) & 1 and below[e] & mask == 0]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Poset) and np.array_equal(self.leq, other.leq)
@@ -204,12 +191,6 @@ def orient_pair(p: Poset, i: int, j: int, bit: int) -> Poset:
     return Poset(_add_relations(p.leq, [(a, b)], ContradictionError))
 
 
-def fix_free_pair(p: Poset, free_index: int, bit: int) -> Poset:
-    """Fix one starred pair of p's own free map; see orient_pair."""
-    i, j = p.free_map.pairs[free_index]
-    return orient_pair(p, i, j, bit)
-
-
 def apply_condition(p: Poset, condition: Condition) -> Poset:
     """Fold a subcube condition into the poset, one oriented pair at a time.
 
@@ -231,7 +212,7 @@ def enumerate_extensions(p: Poset, cap: int = ENUM_CAP) -> list[LinearExtension]
     if p.k > cap:
         raise TooLarge(f"enumeration needs k <= {cap}, got {p.k}")
     out: list[LinearExtension] = []
-    _backtrack(p.below_masks, (1 << p.k) - 1, [], out)
+    _backtrack(p.below_masks.tolist(), (1 << p.k) - 1, [], out)
     return out
 
 
@@ -261,7 +242,7 @@ def _upset_counts(p: Poset) -> tuple[np.ndarray, np.ndarray]:
     De Baets, 2006).  int64 is exact for k <= COUNT_CAP, since 20! < 2^63.
     """
     bit = np.left_shift(1, np.arange(p.k, dtype=np.int64))
-    above = np.where(p.leq, bit, 0).sum(axis=1) - bit
+    above = _element_masks(p.leq)
     level, count = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
     masks, counts = [level], [count]
     for _ in range(p.k):
@@ -465,7 +446,7 @@ class _ExtensionSampler(ConditionalSampler):
             pc = apply_condition(self.poset, condition)
         except ContradictionError:
             return None
-        below = np.array(pc.below_masks, dtype=np.int64)
+        below = pc.below_masks
         w = self._float_weights
         if pc.k > self.enum_cap:
             return _Support(below=below, upsets=None if w else _upset_counts(pc))
@@ -555,9 +536,6 @@ class _ExtensionSampler(ConditionalSampler):
             out[first : first + pos.shape[1]] = (pos[pairs[..., 0]] < pos[pairs[..., 1]]).T
         return out
 
-    def draw(self, condition: Condition, rng: np.random.Generator) -> Bits:
-        return tuple(self.draw_many(condition, 1, rng)[0].tolist())
-
     def draw_many(self, condition: Condition, m: int, rng: np.random.Generator) -> np.ndarray:
         return self._draw(self._support(condition), condition, slice(None), m, rng)
 
@@ -600,20 +578,6 @@ class UniformExtensionSampler(_ExtensionSampler, KnownDistribution):
         except InvalidEncoding:
             return 0.0
         return 1.0 / self.total
-
-    def conditional_marginal(self, condition: Condition, coord: int) -> Fraction:
-        """Exact Pr[bit coord == 1 | condition], by counting extensions."""
-        try:
-            pc = apply_condition(self.poset, condition)
-        except ContradictionError:
-            raise ZeroMassPrefix("condition is contradictory") from None
-        denom = count_extensions(pc)
-        i, j = self.free_map.pairs[coord]
-        try:
-            num = count_extensions(orient_pair(pc, i, j, 1))
-        except ContradictionError:
-            num = 0
-        return Fraction(num, denom)
 
 
 class BiasedExtensionSampler(_ExtensionSampler):

@@ -55,6 +55,9 @@ def identity_test(
 ) -> Verdict:
     """ACCEPT when the sampler is epsilon-close to the known distribution,
     REJECT when it is eta-far, each with probability at least 1 - delta.
+
+    threads is accepted and ignored, as in estimate_tv; it goes once the
+    benchmark stops passing it (ROADMAP item 1).
     """
     if not 0.0 < epsilon < eta <= 1.0:
         raise InvalidParameter(
@@ -76,7 +79,6 @@ def identity_test(
         params.zeta,
         params.delta_t,
         seed,
-        threads=threads,
         max_total_samples=max_total_samples,
     )
     return Verdict(decision=decide(report, params), estimate=report, params=params)

@@ -163,7 +163,7 @@ def test_budget_exhaustion_gives_partial_report(figure1_path, capsys):
 
 
 _ESTIMATOR = {"alpha", "delta", "delta_prime", "gamma", "k", "n", "zeta"}
-_RUN = {"sampler", "threads", "max_samples"}
+_RUN = {"sampler", "max_samples"}
 
 
 @pytest.mark.parametrize(
@@ -182,7 +182,7 @@ _RUN = {"sampler", "threads", "max_samples"}
 )
 def test_report_params(figure1_path, capsys, argv, code, verdict, keys):
     # a complete report names every parameter; a partial one only the
-    # command's flags, with the sampler, threads and budget
+    # command's flags, with the sampler and budget
     assert run_cli([argv[0], figure1_path, *argv[1:], "--format", "json"]) == code
     report = _json_report(capsys)
     assert set(report["params"]) == keys
@@ -227,13 +227,12 @@ def test_bad_gen_param_is_parameter_error(capsys, family, param):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def test_bad_threads_or_budget_is_usage_error(figure1_path):
+def test_bad_budget_is_usage_error(figure1_path):
     for command in ("estimate", "test"):
-        for flag in (["--threads", "0"], ["--max-samples", "-5"]):
-            assert run_cli([command, figure1_path, "--sampler", "uniform", *flag]) == 1
+        assert run_cli([command, figure1_path, "--sampler", "uniform", "--max-samples", "-5"]) == 1
 
 
-def test_cli_determinism_including_threads(figure1_path, capsys):
+def test_cli_determinism(figure1_path, capsys):
     argv = [
         "estimate",
         figure1_path,
@@ -248,12 +247,9 @@ def test_cli_determinism_including_threads(figure1_path, capsys):
     first = _json_report(capsys)
     assert run_cli(argv) == 0
     second = _json_report(capsys)
-    assert run_cli(argv + ["--threads", "3"]) == 0
-    third = _json_report(capsys)
-    for rep in (first, second, third):
+    for rep in (first, second):
         rep.pop("wall_time")
-        rep["params"].pop("threads")
-    assert first == second == third
+    assert first == second
 
 
 def test_table_format_row(figure1_path, capsys):

@@ -12,8 +12,8 @@ from subtv import (
     prefix_condition,
     rng_stream,
     uniform_extension_sampler,
-    uniform_fallback,
 )
+from subtv.core import uniform_fallback_many
 from subtv.errors import DimensionMismatch, DuplicateCoordinate, IndexOutOfRange
 
 
@@ -139,10 +139,9 @@ def test_draws_agree_with_condition(figure1):
 def test_uniform_fallback_respects_condition():
     rng = rng_stream(5)
     cond = make_condition([(0, 1), (2, 0)], 4)
-    for _ in range(200):
-        x = uniform_fallback(cond, 4, rng)
-        assert cond.agrees(x)
-        assert len(x) == 4
+    draws = uniform_fallback_many(cond, 4, 200, rng)
+    assert draws.shape == (200, 4)
+    assert all(cond.agrees(x) for x in draws)
 
 
 def test_product_sampler_zero_mass_falls_back_to_uniform():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from subtv import FULL_CUBE, ProductSampler, gbas_estimate, make_condition, rng_stream
-from subtv.errors import BudgetExhausted, InvalidParameter
+from subtv.errors import BudgetExhausted, IndexOutOfRange, InvalidParameter
 
 
 class _ScriptedHits:
@@ -55,6 +55,22 @@ def test_parameter_validation():
 def test_bad_max_draws_is_invalid(max_draws):
     with pytest.raises(InvalidParameter, match="max_draws"):
         gbas_estimate(ProductSampler([0.5]), FULL_CUBE, 0, 1, 10, rng_stream(0), max_draws=max_draws)
+
+
+@pytest.mark.parametrize(
+    "sampler", [ProductSampler([0.3, 0.7]), _ScriptedHits()], ids=["product", "scripted"]
+)
+def test_coordinate_outside_dimension_is_out_of_range(sampler):
+    # -1 would otherwise draw the last coordinate, and n fail inside numpy
+    for coord in (-1, sampler.n):
+        with pytest.raises(IndexOutOfRange, match="coordinate"):
+            gbas_estimate(sampler, FULL_CUBE, coord, 1, 10, rng_stream(0))
+
+
+@pytest.mark.parametrize("k", [2.5, 10.0, "10"])
+def test_non_integer_k_is_invalid(k):
+    with pytest.raises(InvalidParameter, match="k must be an integer"):
+        gbas_estimate(ProductSampler([0.5]), FULL_CUBE, 0, 1, k, rng_stream(0))
 
 
 def test_zero_max_draws_exhausts_at_once():

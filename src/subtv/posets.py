@@ -196,6 +196,8 @@ def apply_condition(p: Poset, condition: Condition) -> Poset:
 
     Indices refer to p's free map, so chained conditions must always be
     applied to the original poset, never to an already-conditioned one.
+    The samplers fold a condition's last bit into its parent's order with
+    orient_pair, still naming the pair by the original free map.
     FULL_CUBE returns p itself.  A pair whose reverse the order already
     holds, given or implied by the pairs before it, raises
     ContradictionError naming that pair.
@@ -319,14 +321,19 @@ def encode_cnf(p: Poset) -> str:
 
 # Rows of one step of the batched walk: its peak memory is O(_WALK_CHUNK * k).
 _WALK_CHUNK = 2048
-# Each sampler's support cache keeps at most this many conditions and bytes.
-_CACHE_CONDITIONS = 128
+# Each sampler's support cache keeps at most this many conditioned orders
+# and bytes, and remembers the orders of at most _CACHE_ALIASES conditions.
+_CACHE_ORDERS = 128
 _CACHE_BYTES = 64 << 20
+_CACHE_ALIASES = 4 * _CACHE_ORDERS
 
 
 @dataclass(frozen=True)
 class _Support:
-    """What the draws under one condition need.
+    """What the draws under one conditioned order need.
+
+    Every condition that implies the same order shares one support, so
+    its arrays and value guides are built and counted once.
 
     Up to enum_cap elements, the exact support table, one row per extension
     in backtracking order: `bits`, each free bit's values over the rows
@@ -384,8 +391,8 @@ class _ExtensionSampler(ConditionalSampler):
 
     Every draw, single or batched, takes one of two paths.  When the poset
     has at most enum_cap elements it is a lookup in an exact support table
-    per condition, built level by level: each step expands every partial
-    extension by each of its minimal elements and multiplies its
+    per conditioned order, built level by level: each step expands every
+    partial extension by each of its minimal elements and multiplies its
     probability by the walk's for that element.  A draw takes one uniform
     u and the row that a binary search of u in cum picks; draw_coordinate
     reads that row's bit from the coordinate's value guide, searching only
@@ -396,11 +403,14 @@ class _ExtensionSampler(ConditionalSampler):
     counted over the up-sets the walk can reach).  Both paths give the same
     law, so enum_cap bounds the memory of a table (one row per extension),
     not the draw's speed.
-    Each sampler keeps its last conditions' supports in an LRU cache of at
-    most _CACHE_CONDITIONS conditions and _CACHE_BYTES bytes of arrays,
-    value guides included; the newest support stays even when it alone is
-    larger.  One lock guards the cache, its byte count and the guides, so
-    threads drawing from one sampler build each support once.
+    A support depends only on the conditioned order, so each sampler keeps
+    one support per order in an LRU cache of at most _CACHE_ORDERS
+    conditioned orders and _CACHE_BYTES bytes of arrays, value guides
+    included; the newest support stays even when it alone is larger.
+    Conditions alias their order's support through an LRU map of at most
+    _CACHE_ALIASES conditions, which drops a support's aliases with it.
+    One lock guards both, the byte count and the guides, so threads
+    drawing from one sampler build each support once.
     """
 
     _float_weights: Optional[tuple[float, ...]] = None  # walk weights; None is uniform
@@ -413,38 +423,80 @@ class _ExtensionSampler(ConditionalSampler):
         self.n = self.free_map.n
         self.enum_cap = enum_cap
         self._pairs = np.array(self.free_map.pairs, dtype=np.intp).reshape(-1, 2)
-        self._cache: dict[Condition, Optional[_Support]] = {}  # least recent first
+        # Least recent first.  Orders are keyed by their matrix's bytes, and a
+        # contradiction's by None.  A condition maps to its order and key, and
+        # each cached key to the conditions that alias it.
+        self._cache: dict[Optional[bytes], Optional[_Support]] = {}
+        self._orders: dict[Condition, tuple[Optional[Poset], Optional[bytes]]] = {}
+        self._aliases: dict[Optional[bytes], set[Condition]] = {}
         self._cache_bytes = 0
         self._cache_lock = threading.Lock()
 
     def _support(self, condition: Condition, coord: Optional[int] = None) -> Optional[_Support]:
-        """The cached support under a condition, built on a miss.
+        """The cached support of the condition's order, built on a miss.
 
         With a coordinate, a table support also holds its value guide.
         """
         with self._cache_lock:
+            pc, key = self._order(condition)
             cache = self._cache
             try:
-                support = cache[condition] = cache.pop(condition)  # now the most recent
+                support = cache[key] = cache.pop(key)  # now the most recent
             except KeyError:
-                support = cache[condition] = self._build_support(condition)
+                support = cache[key] = self._build_support(pc)
                 self._cache_bytes += support.nbytes if support else 0
             table = support is not None and support.cum is not None
             if table and coord is not None and coord not in support.values:
                 guide = support.values[coord] = _value_guide(support.bits[coord], support.cum)
                 self._cache_bytes += guide.nbytes
             while len(cache) > 1 and (
-                len(cache) > _CACHE_CONDITIONS or self._cache_bytes > _CACHE_BYTES
+                len(cache) > _CACHE_ORDERS or self._cache_bytes > _CACHE_BYTES
             ):
-                evicted = cache.pop(next(iter(cache)))
-                self._cache_bytes -= evicted.nbytes if evicted else 0
+                old = next(iter(cache))
+                dropped = cache.pop(old)
+                self._cache_bytes -= dropped.nbytes if dropped else 0
+                for alias in self._aliases.pop(old):
+                    del self._orders[alias]
         return support
 
-    def _build_support(self, condition: Condition) -> Optional[_Support]:
-        """The support under a condition; None when the condition is contradictory."""
+    def _order(self, condition: Condition) -> tuple[Optional[Poset], Optional[bytes]]:
+        """The conditioned order and its cache key; (None, None) when contradictory.
+
+        A condition whose parent (the same condition less its last bit) is
+        remembered orients that one pair in the parent's order.  When the
+        earlier bits already imply it, orient_pair returns the parent's own
+        poset, and the condition shares the parent's key without hashing.
+        Otherwise the whole condition is applied to the root poset.
+        """
+        orders = self._orders
         try:
-            pc = apply_condition(self.poset, condition)
-        except ContradictionError:
+            order = orders.pop(condition)
+        except KeyError:
+            parent = orders.get(Condition(condition.fixed[:-1])) if condition.fixed else None
+            try:
+                if parent is None:
+                    pc = apply_condition(self.poset, condition)
+                elif parent[0] is None:
+                    pc = None
+                else:
+                    idx, bit = condition.fixed[-1]
+                    pc = orient_pair(parent[0], *self.free_map.pairs[idx], bit)
+            except ContradictionError:
+                pc = None
+            if parent is not None and pc is parent[0]:
+                order = parent
+            else:
+                order = pc, None if pc is None else pc.leq.tobytes()
+            if len(orders) >= _CACHE_ALIASES:
+                old = next(iter(orders))
+                self._aliases[orders.pop(old)[1]].discard(old)
+            self._aliases.setdefault(order[1], set()).add(condition)
+        orders[condition] = order  # now the most recent
+        return order
+
+    def _build_support(self, pc: Optional[Poset]) -> Optional[_Support]:
+        """The support of a conditioned poset; None for a contradictory condition."""
+        if pc is None:
             return None
         below = pc.below_masks
         w = self._float_weights
@@ -466,8 +518,8 @@ class _ExtensionSampler(ConditionalSampler):
             if w:  # times w[e] / the minimal elements' total, summed in ascending order
                 wm = np.where(minimal, w, 0.0)
                 prob *= wm[rows, es] / np.cumsum(wm, axis=1)[rows, -1]
-        bits = pos[:, self._pairs[:, 0]] < pos[:, self._pairs[:, 1]]
-        bits = bits.T.astype(np.uint8, order="C")
+        # n x rows in one gather: pos.T's fancy-indexed rows come out C-contiguous
+        bits = (pos.T[self._pairs[:, 0]] < pos.T[self._pairs[:, 1]]).view(np.uint8)
         cum = np.cumsum(prob / prob.sum())
         cum[-1] = 1.0
         return _Support(bits=bits, cum=cum)

@@ -634,12 +634,46 @@ def _count_builds(sampler) -> list[int]:
     """Count the sampler's support builds in the returned one-item list."""
     builds, build = [0], sampler._build_support
 
-    def counted(condition):
+    def counted(pc):
         builds[0] += 1
-        return build(condition)
+        return build(pc)
 
     sampler._build_support = counted
     return builds
+
+
+def _order_key(p, cond):
+    """The cache key of cond's order, applied to p from the root."""
+    return apply_condition(p, cond).leq.tobytes()
+
+
+def _count_root_conditions(monkeypatch) -> list[int]:
+    """Count the samplers' apply_condition calls in the returned one-item list."""
+    calls, apply = [0], posets.apply_condition
+
+    def counted(p, cond):
+        calls[0] += 1
+        return apply(p, cond)
+
+    monkeypatch.setattr(posets, "apply_condition", counted)
+    return calls
+
+
+def _assert_aliases(sampler):
+    """The condition map is bounded and aliases exactly the cached orders."""
+    assert len(sampler._orders) <= posets._CACHE_ALIASES
+    assert set(sampler._aliases) == set(sampler._cache)
+    for key, conds in sampler._aliases.items():
+        assert all(sampler._orders[cond][1] == key for cond in conds)
+    assert sum(map(len, sampler._aliases.values())) == len(sampler._orders)
+
+
+def _assert_same_support(a, b):
+    for x, y in [(a.bits, b.bits), (a.cum, b.cum), (a.below, b.below)] + list(
+        zip(a.upsets or (None, None), b.upsets or (None, None))
+    ):
+        assert (x is None) == (y is None)
+        assert x is None or (x.dtype == y.dtype and np.array_equal(x, y))
 
 
 def _assert_cache_bytes(sampler):
@@ -665,16 +699,29 @@ def test_biased_cache_is_not_sized_by_count_tables():
         assert builds == [130]
 
 
-def test_support_cache_is_bounded():
-    # 300 distinct conditions on the 5-antichain; the first, the full cube,
-    # is evicted, rebuilt on its next draw, and still matches the oracle
+def _antichain5_prefix_conditions():
     p = Poset.from_relations(5, [])
     dist = exact_distribution(p, "uniform")
     conds = sorted(
         {prefix_condition(x, i) for x in dist.support for i in range(p.free_map.n + 1)},
         key=lambda c: (len(c), c.fixed),
-    )[:300]
+    )
+    return p, conds
+
+
+def test_support_cache_is_bounded():
+    # 300 distinct conditions on the 5-antichain hold fewer distinct orders:
+    # each order is built once, the cache keeps the 128 used last, and the
+    # first, the full cube's, is evicted, rebuilt on its next draw, and
+    # still matches the oracle
+    p, conds = _antichain5_prefix_conditions()
+    conds = conds[:300]
     assert len(conds) == 300 and conds[0] == FULL_CUBE
+    keys = [_order_key(p, cond) for cond in conds]
+    orders = len(set(keys))
+    assert 128 < orders < 300
+    recent = list(dict.fromkeys(reversed(keys)))[:128][::-1]  # least recent first
+    assert _order_key(p, FULL_CUBE) not in recent
     weights = (1, 2, 4, 3, 5)
     walking = biased_extension_sampler(p, weights)
     walking.enum_cap = 0
@@ -683,10 +730,12 @@ def test_support_cache_is_bounded():
         builds = _count_builds(sampler)
         for cond in conds:
             sampler.draw_many(cond, 1, rng)
-        assert builds == [300] and len(sampler._cache) == 128
+        assert builds == [orders] and len(sampler._cache) == 128
+        assert list(sampler._cache) == recent
+        _assert_cache_bytes(sampler)
         exact = exact_distribution(p, kind, weights).support
         _assert_matches(sampler.draw_many(FULL_CUBE, 3000, rng), exact)
-        assert builds == [301]
+        assert builds == [orders + 1]
 
 
 def test_support_cache_is_bounded_in_bytes(monkeypatch):
@@ -702,19 +751,19 @@ def test_support_cache_is_bounded_in_bytes(monkeypatch):
         sampler.draw_coordinate(cond, 35, 10, rng)  # adds a value guide
         _assert_cache_bytes(sampler)
     assert sizes[0] > 15 << 20 and sum(sizes) > posets._CACHE_BYTES
-    assert list(sampler._cache) == conds[1:]
+    assert list(sampler._cache) == [_order_key(p, cond) for cond in conds[1:]]
     # value guides count too, and leave with their table: 0.5 MB for each
     # free coordinate drawn under the newest condition evicts two more
     for coord in range(p.free_map.n):
         if conds[-1].is_free(coord):
             sampler.draw_coordinate(conds[-1], coord, 10, rng)
             _assert_cache_bytes(sampler)
-    assert list(sampler._cache) == conds[3:]
+    assert list(sampler._cache) == [_order_key(p, cond) for cond in conds[3:]]
     # the newest support stays even when it alone passes the bound
     monkeypatch.setattr(posets, "_CACHE_BYTES", 1 << 20)
     cond = make_condition([(5, 1)], p.free_map.n)
     sampler._support(cond)
-    assert list(sampler._cache) == [cond]
+    assert list(sampler._cache) == [_order_key(p, cond)]
     _assert_cache_bytes(sampler)
     # the walk's count tables count too: a 17-antichain's are 2 MB at the
     # full cube and 1.5 MB under a one-bit condition, so 4 MB holds two
@@ -725,7 +774,119 @@ def test_support_cache_is_bounded_in_bytes(monkeypatch):
     for cond in conds:
         assert walking._support(cond).upsets is not None
         _assert_cache_bytes(walking)
-    assert list(walking._cache) == conds[2:]
+    assert list(walking._cache) == [_order_key(p, cond) for cond in conds[2:]]
+
+
+def _order_samplers(p):
+    """Uniform and biased samplers of p, on the table path and on the walk."""
+    out = []
+    for enum_cap in (ENUM_CAP, 0):
+        biased = biased_extension_sampler(p, (1, 2, 4, 3, 5, 7, 6, 8)[: p.k])
+        biased.enum_cap = enum_cap
+        out += [uniform_extension_sampler(p, enum_cap), biased]
+    return out
+
+
+def test_implied_bit_shares_the_parent_support(monkeypatch):
+    # on the 3-antichain, 1 < 2 and 3 < 1 imply 3 < 2: the prefix that adds
+    # it has its parent's order, so it returns the parent's support, with
+    # no build and no condition applied from the root; the shared support's
+    # value guides are counted once
+    p = Poset.from_relations(3, [])
+    x = (1, 0, 0)
+    parent, child = prefix_condition(x, 2), prefix_condition(x, 3)
+    assert _order_key(p, parent) == _order_key(p, child)
+    roots = _count_root_conditions(monkeypatch)
+    rng = rng_stream(47)
+    for sampler in _order_samplers(p):
+        support = sampler._support(parent)
+        builds, roots[0] = _count_builds(sampler), 0
+        assert sampler._support(child) is support
+        assert builds == [0] and roots == [0]
+        assert list(sampler._orders) == [parent, child] and len(sampler._cache) == 1
+        for cond in (parent, child):
+            sampler.draw_coordinate(cond, 1, 10, rng)
+            sampler.draw_coordinate(cond, 0 if cond is parent else 2, 10, rng)
+            _assert_cache_bytes(sampler)
+        assert sampler._cache_bytes == support.nbytes
+        assert support.cum is None or sorted(support.values) == [0, 1, 2]
+        _assert_aliases(sampler)
+
+
+def test_parent_path_matches_the_root(monkeypatch):
+    # every prefix of every extension of the small posets, in prefix order:
+    # after the full cube, each condition folds its last bit into its
+    # parent's order, and the support equals the one built from the order
+    # that apply_condition gives from the root
+    roots = _count_root_conditions(monkeypatch)
+    for p in small_posets():
+        prefixes = [
+            (cond, apply_condition(p, cond), _order_key(p, cond))
+            for x in exact_distribution(p, "uniform").support
+            for cond in (prefix_condition(x, i) for i in range(p.free_map.n + 1))
+        ]
+        for sampler in _order_samplers(p):
+            checked, roots[0] = {}, 0  # key -> the last support checked for it
+            for cond, pc, key in prefixes:
+                support = sampler._support(cond)
+                assert sampler._orders[cond][0] == pc
+                if checked.get(key) is not support:
+                    _assert_same_support(support, sampler._build_support(pc))
+                    checked[key] = support
+            assert roots == [1]  # the full cube only
+            _assert_cache_bytes(sampler)
+            _assert_aliases(sampler)
+
+
+def test_condition_map_is_bounded(monkeypatch):
+    # the 5-antichain's prefix conditions hold more orders than the cache
+    # keeps: after every draw, each remembered condition aliases a cached
+    # support and maps to its own order, and the map holds at most
+    # _CACHE_ALIASES conditions, the ones used last
+    p, conds = _antichain5_prefix_conditions()
+    rng = rng_stream(48)
+    for aliases in (posets._CACHE_ALIASES, 50):
+        monkeypatch.setattr(posets, "_CACHE_ALIASES", aliases)
+        sampler = uniform_extension_sampler(p)
+        builds = _count_builds(sampler)
+        sizes = []
+        for cond in conds:
+            sampler.draw_many(cond, 1, rng)
+            sizes.append(len(sampler._orders))
+            _assert_aliases(sampler)
+        assert builds[0] > 128 and max(sizes) <= aliases
+        assert list(sampler._orders) == [cond for cond in conds if cond in sampler._orders]
+        for cond, (pc, key) in sampler._orders.items():
+            assert pc == apply_condition(p, cond) and key == _order_key(p, cond)
+        _assert_cache_bytes(sampler)
+    assert max(sizes) == 50
+
+
+def test_miss_after_parent_eviction_applies_the_root(monkeypatch):
+    # with room for two orders, the parent's support is evicted and its
+    # alias with it: the child's order is applied from the root, and its
+    # support matches the one built from that order
+    monkeypatch.setattr(posets, "_CACHE_ORDERS", 2)
+    p = Poset.from_relations(4, [])
+    n = p.free_map.n
+    parent = make_condition([(0, 0), (1, 1)], n)  # 2 < 1 and 1 < 3
+    others = [make_condition([(i, 1)], n) for i in (2, 4)]
+    # 2 < 1 < 3 implies 2 < 3, and contradicts 3 < 2
+    children = [make_condition([(0, 0), (1, 1), (3, b)], n) for b in (1, 0)]
+    roots = _count_root_conditions(monkeypatch)
+    for sampler in _order_samplers(p):
+        for cond in [parent] + others:
+            sampler._support(cond)
+        assert parent not in sampler._orders
+        assert _order_key(p, parent) not in sampler._cache
+        roots[0] = 0
+        implied = sampler._support(children[0])
+        assert roots == [1] and sampler._orders[children[0]][0] == apply_condition(p, parent)
+        _assert_same_support(implied, sampler._build_support(apply_condition(p, parent)))
+        assert sampler._support(children[1]) is None and roots == [2]
+        assert sampler._orders[children[1]] == (None, None) and None in sampler._cache
+        _assert_cache_bytes(sampler)
+        _assert_aliases(sampler)
 
 
 def test_support_cache_under_threads():

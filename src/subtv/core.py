@@ -98,8 +98,10 @@ class ConditionalSampler(abc.ABC):
     Implementations must return strings agreeing with every fixed coordinate
     of the condition.  When the conditioned mass is zero they must fall back
     to uniform i.i.d. bits on the free coordinates (see uniform_fallback_many).
-    Instances hold no mutable draw state; randomness comes only from the
-    caller-provided generator, so they are safe to share across threads.
+    Randomness comes only from the caller-provided generator.  The extension
+    samplers keep caches behind a lock: threads may share one sampler and
+    get the reports they would get alone, though their interleaved
+    conditions may make it rebuild orders from the root.
     """
 
     n: int

@@ -196,8 +196,9 @@ def apply_condition(p: Poset, condition: Condition) -> Poset:
 
     Indices refer to p's free map, so chained conditions must always be
     applied to the original poset, never to an already-conditioned one.
-    The samplers fold a condition's last bit into its parent's order with
-    orient_pair, still naming the pair by the original free map.
+    The samplers fold a child of the last condition they met into that
+    condition's order with orient_pair, still naming the pair by the
+    original free map, and apply any other condition here.
     FULL_CUBE returns p itself.  A pair whose reverse the order already
     holds, given or implied by the pairs before it, raises
     ContradictionError naming that pair.
@@ -321,11 +322,9 @@ def encode_cnf(p: Poset) -> str:
 
 # Rows of one step of the batched walk: its peak memory is O(_WALK_CHUNK * k).
 _WALK_CHUNK = 2048
-# Each sampler's support cache keeps at most this many conditioned orders
-# and bytes, and remembers the orders of at most _CACHE_ALIASES conditions.
+# Each sampler's support cache keeps at most this many conditioned orders and bytes.
 _CACHE_ORDERS = 128
 _CACHE_BYTES = 64 << 20
-_CACHE_ALIASES = 4 * _CACHE_ORDERS
 
 
 @dataclass(frozen=True)
@@ -406,11 +405,12 @@ class _ExtensionSampler(ConditionalSampler):
     A support depends only on the conditioned order, so each sampler keeps
     one support per order in an LRU cache of at most _CACHE_ORDERS
     conditioned orders and _CACHE_BYTES bytes of arrays, value guides
-    included; the newest support stays even when it alone is larger.
-    Conditions alias their order's support through an LRU map of at most
-    _CACHE_ALIASES conditions, which drops a support's aliases with it.
-    One lock guards both, the byte count and the guides, so threads
-    drawing from one sampler build each support once.
+    included; the newest support stays even when it alone is larger.  A
+    contradictory condition has no support and never enters the cache.
+    The sampler also remembers the last condition it met and its order
+    (see _order).  One lock guards the cache, the byte count, the guides
+    and that slot, so threads drawing from one sampler build each support
+    once; their interleaved conditions only send more of them to the root.
     """
 
     _float_weights: Optional[tuple[float, ...]] = None  # walk weights; None is uniform
@@ -423,81 +423,70 @@ class _ExtensionSampler(ConditionalSampler):
         self.n = self.free_map.n
         self.enum_cap = enum_cap
         self._pairs = np.array(self.free_map.pairs, dtype=np.intp).reshape(-1, 2)
-        # Least recent first.  Orders are keyed by their matrix's bytes, and a
-        # contradiction's by None.  A condition maps to its order and key, and
-        # each cached key to the conditions that alias it.
-        self._cache: dict[Optional[bytes], Optional[_Support]] = {}
-        self._orders: dict[Condition, tuple[Optional[Poset], Optional[bytes]]] = {}
-        self._aliases: dict[Optional[bytes], set[Condition]] = {}
+        # Least recent first, keyed by the conditioned order's matrix bytes.
+        self._cache: dict[bytes, _Support] = {}
         self._cache_bytes = 0
+        # The last condition met, its order (None when contradictory) and key:
+        # first the full cube's.
+        self._last = (Condition(), poset, poset.leq.tobytes())
         self._cache_lock = threading.Lock()
 
     def _support(self, condition: Condition, coord: Optional[int] = None) -> Optional[_Support]:
         """The cached support of the condition's order, built on a miss.
 
+        None for a contradictory condition, which leaves the cache as it is.
         With a coordinate, a table support also holds its value guide.
         """
         with self._cache_lock:
             pc, key = self._order(condition)
+            if pc is None:
+                return None
             cache = self._cache
             try:
                 support = cache[key] = cache.pop(key)  # now the most recent
             except KeyError:
                 support = cache[key] = self._build_support(pc)
-                self._cache_bytes += support.nbytes if support else 0
-            table = support is not None and support.cum is not None
-            if table and coord is not None and coord not in support.values:
+                self._cache_bytes += support.nbytes
+            if support.cum is not None and coord is not None and coord not in support.values:
                 guide = support.values[coord] = _value_guide(support.bits[coord], support.cum)
                 self._cache_bytes += guide.nbytes
             while len(cache) > 1 and (
                 len(cache) > _CACHE_ORDERS or self._cache_bytes > _CACHE_BYTES
             ):
-                old = next(iter(cache))
-                dropped = cache.pop(old)
-                self._cache_bytes -= dropped.nbytes if dropped else 0
-                for alias in self._aliases.pop(old):
-                    del self._orders[alias]
+                self._cache_bytes -= cache.pop(next(iter(cache))).nbytes
         return support
 
     def _order(self, condition: Condition) -> tuple[Optional[Poset], Optional[bytes]]:
         """The conditioned order and its cache key; (None, None) when contradictory.
 
-        A condition whose parent (the same condition less its last bit) is
-        remembered orients that one pair in the parent's order.  When the
-        earlier bits already imply it, orient_pair returns the parent's own
-        poset, and the condition shares the parent's key without hashing.
-        Otherwise the whole condition is applied to the root poset.
+        The chain rule asks for x's prefixes in order, each right after its
+        parent (the same condition less its last bit), so the last condition
+        met is the only one worth remembering.  Its child orients that one
+        pair in its order; when the earlier bits already imply it,
+        orient_pair returns the same poset, and the child keeps the key
+        without hashing.  A child of a contradiction is one too.  Any other
+        condition is applied to the root poset.
         """
-        orders = self._orders
+        last, parent, key = self._last
+        if condition.fixed == last.fixed:
+            return parent, key
         try:
-            order = orders.pop(condition)
-        except KeyError:
-            parent = orders.get(Condition(condition.fixed[:-1])) if condition.fixed else None
-            try:
-                if parent is None:
-                    pc = apply_condition(self.poset, condition)
-                elif parent[0] is None:
-                    pc = None
-                else:
-                    idx, bit = condition.fixed[-1]
-                    pc = orient_pair(parent[0], *self.free_map.pairs[idx], bit)
-            except ContradictionError:
+            if condition.fixed[:-1] != last.fixed:
+                pc = apply_condition(self.poset, condition)
+            elif parent is None:
                 pc = None
-            if parent is not None and pc is parent[0]:
-                order = parent
             else:
-                order = pc, None if pc is None else pc.leq.tobytes()
-            if len(orders) >= _CACHE_ALIASES:
-                old = next(iter(orders))
-                self._aliases[orders.pop(old)[1]].discard(old)
-            self._aliases.setdefault(order[1], set()).add(condition)
-        orders[condition] = order  # now the most recent
-        return order
+                idx, bit = condition.fixed[-1]
+                pc = orient_pair(parent, *self.free_map.pairs[idx], bit)
+        except ContradictionError:
+            pc = None
+        if pc is not parent:
+            key = None if pc is None else pc.leq.tobytes()
+        self._last = condition, pc, key
+        return pc, key
 
-    def _build_support(self, pc: Optional[Poset]) -> Optional[_Support]:
-        """The support of a conditioned poset; None for a contradictory condition."""
-        if pc is None:
-            return None
+    def _build_support(self, pc: Poset) -> _Support:
+        """The support of a conditioned poset."""
         below = pc.below_masks
         w = self._float_weights
         if pc.k > self.enum_cap:
@@ -581,7 +570,7 @@ class _ExtensionSampler(ConditionalSampler):
             return uniform_fallback_many(condition, self.n, m, rng)[:, cols]
         if support.cum is not None:
             row = np.searchsorted(support.cum, rng.random(m), side="right")
-            return np.ascontiguousarray(support.bits[cols, row].T)
+            return support.bits[cols, row].T
         pairs = self._pairs[cols]
         out = np.empty((m,) + pairs.shape[:-1], dtype=np.uint8)
         for first, pos in self._walk(support, m, rng):

@@ -27,6 +27,7 @@ from subtv import (
     encode_cnf,
     encode_matrix,
     enumerate_extensions,
+    estimate_tv,
     exact_distribution,
     extension_to_bits,
     make_condition,
@@ -647,25 +648,21 @@ def _order_key(p, cond):
     return apply_condition(p, cond).leq.tobytes()
 
 
-def _count_root_conditions(monkeypatch) -> list[int]:
-    """Count the samplers' apply_condition calls in the returned one-item list."""
-    calls, apply = [0], posets.apply_condition
+def _root_conditions(monkeypatch) -> list:
+    """Record the conditions the samplers apply from the root in the returned list."""
+    calls, apply = [], posets.apply_condition
 
-    def counted(p, cond):
-        calls[0] += 1
+    def recorded(p, cond):
+        calls.append(cond)
         return apply(p, cond)
 
-    monkeypatch.setattr(posets, "apply_condition", counted)
+    monkeypatch.setattr(posets, "apply_condition", recorded)
     return calls
 
 
-def _assert_aliases(sampler):
-    """The condition map is bounded and aliases exactly the cached orders."""
-    assert len(sampler._orders) <= posets._CACHE_ALIASES
-    assert set(sampler._aliases) == set(sampler._cache)
-    for key, conds in sampler._aliases.items():
-        assert all(sampler._orders[cond][1] == key for cond in conds)
-    assert sum(map(len, sampler._aliases.values())) == len(sampler._orders)
+def _assert_last(sampler, cond, pc):
+    """The sampler's slot holds cond, its order pc and pc's key."""
+    assert sampler._last == (cond, pc, None if pc is None else pc.leq.tobytes())
 
 
 def _assert_same_support(a, b):
@@ -677,7 +674,8 @@ def _assert_same_support(a, b):
 
 
 def _assert_cache_bytes(sampler):
-    sizes = [s.nbytes for s in sampler._cache.values() if s is not None]
+    assert None not in sampler._cache and None not in sampler._cache.values()
+    sizes = [s.nbytes for s in sampler._cache.values()]
     assert sampler._cache_bytes == sum(sizes)
     assert sum(sizes) <= posets._CACHE_BYTES or len(sizes) == 1
 
@@ -796,97 +794,129 @@ def test_implied_bit_shares_the_parent_support(monkeypatch):
     x = (1, 0, 0)
     parent, child = prefix_condition(x, 2), prefix_condition(x, 3)
     assert _order_key(p, parent) == _order_key(p, child)
-    roots = _count_root_conditions(monkeypatch)
+    roots = _root_conditions(monkeypatch)
     rng = rng_stream(47)
     for sampler in _order_samplers(p):
         support = sampler._support(parent)
-        builds, roots[0] = _count_builds(sampler), 0
+        order = sampler._last[1]
+        builds = _count_builds(sampler)
+        roots.clear()
         assert sampler._support(child) is support
-        assert builds == [0] and roots == [0]
-        assert list(sampler._orders) == [parent, child] and len(sampler._cache) == 1
+        assert builds == [0] and roots == []
+        assert sampler._last[1] is order and len(sampler._cache) == 1
+        _assert_last(sampler, child, apply_condition(p, parent))
         for cond in (parent, child):
             sampler.draw_coordinate(cond, 1, 10, rng)
             sampler.draw_coordinate(cond, 0 if cond is parent else 2, 10, rng)
             _assert_cache_bytes(sampler)
         assert sampler._cache_bytes == support.nbytes
         assert support.cum is None or sorted(support.values) == [0, 1, 2]
-        _assert_aliases(sampler)
 
 
 def test_parent_path_matches_the_root(monkeypatch):
     # every prefix of every extension of the small posets, in prefix order:
-    # after the full cube, each condition folds its last bit into its
-    # parent's order, and the support equals the one built from the order
-    # that apply_condition gives from the root
-    roots = _count_root_conditions(monkeypatch)
+    # each condition but the full cube folds its last bit into the order of
+    # its parent, the condition met last, and the order and support equal
+    # those that apply_condition gives from the root
+    roots = _root_conditions(monkeypatch)
     for p in small_posets():
+        points = exact_distribution(p, "uniform").support
         prefixes = [
             (cond, apply_condition(p, cond), _order_key(p, cond))
-            for x in exact_distribution(p, "uniform").support
+            for x in points
             for cond in (prefix_condition(x, i) for i in range(p.free_map.n + 1))
         ]
         for sampler in _order_samplers(p):
-            checked, roots[0] = {}, 0  # key -> the last support checked for it
+            checked = {}  # key -> the last support checked for it
+            roots.clear()
             for cond, pc, key in prefixes:
                 support = sampler._support(cond)
-                assert sampler._orders[cond][0] == pc
+                _assert_last(sampler, cond, pc)
                 if checked.get(key) is not support:
                     _assert_same_support(support, sampler._build_support(pc))
                     checked[key] = support
-            assert roots == [1]  # the full cube only
+            assert roots == [FULL_CUBE] * (len(points) - 1)  # each point's first prefix
             _assert_cache_bytes(sampler)
-            _assert_aliases(sampler)
 
 
-def test_condition_map_is_bounded(monkeypatch):
-    # the 5-antichain's prefix conditions hold more orders than the cache
-    # keeps: after every draw, each remembered condition aliases a cached
-    # support and maps to its own order, and the map holds at most
-    # _CACHE_ALIASES conditions, the ones used last
-    p, conds = _antichain5_prefix_conditions()
-    rng = rng_stream(48)
-    for aliases in (posets._CACHE_ALIASES, 50):
-        monkeypatch.setattr(posets, "_CACHE_ALIASES", aliases)
-        sampler = uniform_extension_sampler(p)
-        builds = _count_builds(sampler)
-        sizes = []
-        for cond in conds:
-            sampler.draw_many(cond, 1, rng)
-            sizes.append(len(sampler._orders))
-            _assert_aliases(sampler)
-        assert builds[0] > 128 and max(sizes) <= aliases
-        assert list(sampler._orders) == [cond for cond in conds if cond in sampler._orders]
-        for cond, (pc, key) in sampler._orders.items():
-            assert pc == apply_condition(p, cond) and key == _order_key(p, cond)
-        _assert_cache_bytes(sampler)
-    assert max(sizes) == 50
-
-
-def test_miss_after_parent_eviction_applies_the_root(monkeypatch):
-    # with room for two orders, the parent's support is evicted and its
-    # alias with it: the child's order is applied from the root, and its
-    # support matches the one built from that order
-    monkeypatch.setattr(posets, "_CACHE_ORDERS", 2)
+def test_condition_after_another_applies_the_root(monkeypatch):
+    # a condition whose parent was not the last one asked for is applied
+    # from the root: a contradictory one returns None and adds no cache
+    # entry, and so does its child, without the root; an implied one finds
+    # its parent's support again, without a build
     p = Poset.from_relations(4, [])
     n = p.free_map.n
     parent = make_condition([(0, 0), (1, 1)], n)  # 2 < 1 and 1 < 3
-    others = [make_condition([(i, 1)], n) for i in (2, 4)]
+    other = make_condition([(2, 1)], n)
     # 2 < 1 < 3 implies 2 < 3, and contradicts 3 < 2
-    children = [make_condition([(0, 0), (1, 1), (3, b)], n) for b in (1, 0)]
-    roots = _count_root_conditions(monkeypatch)
+    implied, contradictory = (make_condition([(0, 0), (1, 1), (3, b)], n) for b in (1, 0))
+    grandchild = make_condition([(0, 0), (1, 1), (3, 0), (5, 1)], n)
+    roots = _root_conditions(monkeypatch)
     for sampler in _order_samplers(p):
-        for cond in [parent] + others:
-            sampler._support(cond)
-        assert parent not in sampler._orders
-        assert _order_key(p, parent) not in sampler._cache
-        roots[0] = 0
-        implied = sampler._support(children[0])
-        assert roots == [1] and sampler._orders[children[0]][0] == apply_condition(p, parent)
-        _assert_same_support(implied, sampler._build_support(apply_condition(p, parent)))
-        assert sampler._support(children[1]) is None and roots == [2]
-        assert sampler._orders[children[1]] == (None, None) and None in sampler._cache
+        support = sampler._support(parent)
+        sampler._support(other)
+        keys = list(sampler._cache)
+        builds = _count_builds(sampler)
+        roots.clear()
+        assert sampler._support(contradictory) is None
+        assert roots == [contradictory] and list(sampler._cache) == keys
+        _assert_last(sampler, contradictory, None)
+        assert sampler._support(grandchild) is None
+        assert roots == [contradictory] and list(sampler._cache) == keys
+        _assert_last(sampler, grandchild, None)
+        assert sampler._support(implied) is support
+        assert roots == [contradictory, implied] and builds == [0]
+        _assert_last(sampler, implied, apply_condition(p, parent))
+        _assert_same_support(support, sampler._build_support(apply_condition(p, parent)))
         _assert_cache_bytes(sampler)
-        _assert_aliases(sampler)
+
+
+def test_estimate_applies_only_the_full_cube_from_the_root(monkeypatch):
+    # the chain rule asks for each prefix right after its parent, so a
+    # sampler that remembers only its last condition applies nothing but
+    # the full cube from the root, on a table (k = 10) and on the walk (k = 14)
+    roots = _root_conditions(monkeypatch)
+    for instance, zeta in (("1", 10, 4), 0.9), (("4", 14, 0), 0.95):
+        p = parse_poset(instance_to_json(generate_instance("avgdeg", *instance)))
+        sampler = biased_extension_sampler(p, (1,) * p.k)
+        report = estimate_tv(sampler, uniform_extension_sampler(p), zeta, 0.5, seed=3)
+        assert report.total_samples > 0
+        assert roots and all(cond == FULL_CUBE for cond in roots)
+        roots.clear()
+
+
+def test_threads_sharing_a_sampler_get_their_own_reports():
+    # four estimates, switching every microsecond, share one sampler: their
+    # interleaved conditions send orders to the root, yet each report
+    # equals the one a fresh sampler gives on one thread
+    p = parse_poset(instance_to_json(generate_instance("avgdeg", "1", 10, 4)))
+    known = uniform_extension_sampler(p)
+
+    def run(sampler, seed):
+        report = estimate_tv(sampler, known, 0.9, 0.5, seed=seed)
+        return report.per_sample_terms, report.total_samples
+
+    seeds = (1, 2, 3, 4)
+    alone = {seed: run(biased_extension_sampler(p, (1,) * p.k), seed) for seed in seeds}
+    shared = biased_extension_sampler(p, (1,) * p.k)
+    results = {}
+
+    def work(seed):
+        results[seed] = run(shared, seed)
+
+    threads = [threading.Thread(target=work, args=(seed,)) for seed in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == alone
+    _assert_cache_bytes(shared)
 
 
 def test_support_cache_under_threads():

@@ -120,7 +120,10 @@ def build_sampler(poset: Poset, spec: str):
     kind, weights = parse_sampler_spec(spec, poset.k)
     if kind == "uniform":
         return uniform_extension_sampler(poset)
-    return biased_extension_sampler(poset, weights)
+    try:  # an exact weight can still underflow or overflow its float
+        return biased_extension_sampler(poset, weights)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _load_poset(path: str) -> Poset:

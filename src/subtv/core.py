@@ -119,8 +119,9 @@ class ConditionalSampler(abc.ABC):
     ) -> np.ndarray:
         """The values of one coordinate over m conditional draws.
 
-        Semantically identical to projecting draw_many; subclasses override
-        it with a vectorized path.
+        The projection of draw_many.  The extension samplers override it
+        with a faster path that returns the same column and leaves the
+        generator in the same state.
         """
         return self.draw_many(condition, m, rng)[:, coord]
 
@@ -178,16 +179,6 @@ class ProductSampler(ConditionalSampler, KnownDistribution):
         for i, b in condition.fixed:
             out[:, i] = b
         return out
-
-    def draw_coordinate(
-        self, condition: Condition, coord: int, m: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        if self._zero_mass(condition):
-            return uniform_fallback_many(condition, self.n, m, rng)[:, coord]
-        b = condition.bit_at(coord)
-        if b is not None:
-            return np.full(m, b, dtype=np.uint8)
-        return (rng.random(m) < self.probs[coord]).astype(np.uint8)
 
     def mass(self, x: Bits) -> float:
         p = 1.0

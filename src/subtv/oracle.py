@@ -12,8 +12,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .core import Bits, Condition
-from .errors import DimensionMismatch, ZeroMassPrefix
-from .posets import ENUM_CAP, Poset, enumerate_extensions, extension_to_bits
+from .errors import DimensionMismatch, TooLarge, ZeroMassPrefix
+from .posets import ENUM_CAP, Poset, extension_rows
 
 
 @dataclass(frozen=True)
@@ -40,16 +40,6 @@ def _greedy_step_products(
     return prob
 
 
-def _exact_weights(weights: Sequence) -> list[Fraction]:
-    out = []
-    for w in weights:
-        if isinstance(w, float):
-            out.append(Fraction(*w.as_integer_ratio()))
-        else:
-            out.append(Fraction(w))
-    return out
-
-
 def exact_distribution(
     p: Poset,
     kind: str,
@@ -59,26 +49,29 @@ def exact_distribution(
 ) -> ExactDistribution:
     """The exact output distribution of a synthetic extension sampler.
 
+    The extensions and their free bits come from posets.extension_rows,
+    as the samplers' tables do; the law is computed here, in Fractions.
     kind 'uniform': mass 1/|extensions| per extension.  kind 'biased': the
     product of greedy step ratios per extension, for the given positive
     per-element weights.  Pass the original poset's free_map to encode the
     distribution of a conditioned poset on the full coordinate set.
     """
-    exts = enumerate_extensions(p, cap)
+    if p.k > cap:
+        raise TooLarge(f"enumeration needs k <= {cap}, got {p.k}")
     fm = free_map if free_map is not None else p.free_map
+    pos, bits, _ = extension_rows(p, fm.pairs)
+    keys = list(map(tuple, bits.T.tolist()))
     if kind == "uniform":
-        total = Fraction(1, len(exts))
-        support = {extension_to_bits(e, fm): total for e in exts}
+        support = dict.fromkeys(keys, Fraction(1, len(keys)))
     elif kind == "biased":
         if weights is None:
             raise ValueError("biased distribution needs weights")
-        ws = _exact_weights(weights)
+        ws = [Fraction(w) for w in weights]  # exact for floats too
         if len(ws) != p.k or any(w <= 0 for w in ws):
             raise ValueError(f"need {p.k} positive weights")
         below = p.below_masks.tolist()
-        support = {
-            extension_to_bits(e, fm): _greedy_step_products(below, e.order, ws) for e in exts
-        }
+        orders = pos.argsort(axis=1).tolist()
+        support = {x: _greedy_step_products(below, o, ws) for x, o in zip(keys, orders)}
     else:
         raise ValueError(f"unknown sampler kind {kind!r}")
     assert sum(support.values()) == 1

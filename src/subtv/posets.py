@@ -8,6 +8,9 @@ and fixing a free bit is adding one oriented pair to the order.  Every
 order is grown by one routine that adds relations one at a time to a
 closed matrix; a relation whose reverse already holds is a cycle, and the
 error it raises (CycleError, ContradictionError, InvalidEncoding) names it.
+One level-by-level expansion, extension_rows, lists an order's linear
+extensions for the samplers' support tables, enumerate_extensions and the
+exact oracle alike.
 
 Elements are 0-based internally; instance documents and reported pair
 labels are 1-based.
@@ -16,6 +19,7 @@ labels are 1-based.
 from __future__ import annotations
 
 import json
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -210,26 +214,42 @@ def apply_condition(p: Poset, condition: Condition) -> Poset:
     return Poset(_add_relations(p.leq, pairs, ContradictionError))
 
 
+def extension_rows(
+    p: Poset, pairs, weights: Optional[Sequence[float]] = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every linear extension of p, one row each: (pos, bits, prob).
+
+    pos[r, e] is the step at which row r places e; bits[c, r] is 1 iff row
+    r places pairs[c]'s first element first; prob[r] is the greedy walk's
+    probability of row r under the weights, 1 without them.  Each step
+    extends every row by each of its minimal elements, and row-major
+    nonzero keeps the rows in lexicographic order.
+    """
+    k, below = p.k, p.below_masks
+    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    bit = np.left_shift(1, np.arange(k, dtype=np.int64))
+    mask = np.array([(1 << k) - 1])
+    pos = np.zeros((1, k), dtype=np.int8)
+    prob = np.ones(1)
+    for step in range(k):
+        minimal = (mask[:, None] & (bit | below)) == bit
+        rows, es = np.nonzero(minimal)
+        mask, pos, prob = mask[rows] ^ bit[es], pos[rows], prob[rows]
+        pos[np.arange(len(rows)), es] = step
+        if weights:  # times w[e] / the minimal elements' total, summed in ascending order
+            wm = np.where(minimal, weights, 0.0)
+            prob *= wm[rows, es] / np.cumsum(wm, axis=1)[rows, -1]
+    # n x rows in one gather: pos.T's fancy-indexed rows come out C-contiguous
+    bits = (pos.T[pairs[:, 0]] < pos.T[pairs[:, 1]]).view(np.uint8)
+    return pos, bits, prob
+
+
 def enumerate_extensions(p: Poset, cap: int = ENUM_CAP) -> list[LinearExtension]:
-    """All linear extensions, by backtracking over minimal elements in ascending order."""
+    """All linear extensions in lexicographic order, from extension_rows."""
     if p.k > cap:
         raise TooLarge(f"enumeration needs k <= {cap}, got {p.k}")
-    out: list[LinearExtension] = []
-    _backtrack(p.below_masks.tolist(), (1 << p.k) - 1, [], out)
-    return out
-
-
-def _backtrack(below: list[int], mask: int, order: list[int], out: list) -> None:
-    # A module-level function, not a closure: a recursive closure is a
-    # reference cycle that would keep every extension alive until the
-    # garbage collector's next pass.
-    if mask == 0:
-        out.append(LinearExtension(tuple(order)))
-    for e in range(len(below)):
-        if mask >> e & 1 and not below[e] & mask:
-            order.append(e)
-            _backtrack(below, mask ^ (1 << e), order, out)
-            order.pop()
+    pos = extension_rows(p, ())[0]
+    return [LinearExtension(tuple(order)) for order in pos.argsort(axis=1).tolist()]
 
 
 def _upset_counts(p: Poset) -> tuple[np.ndarray, np.ndarray]:
@@ -335,7 +355,7 @@ class _Support:
     its arrays and value guides are built and counted once.
 
     Up to enum_cap elements, the exact support table, one row per extension
-    in backtracking order: `bits`, each free bit's values over the rows
+    in extension_rows' order: `bits`, each free bit's values over the rows
     (n x rows, so one coordinate's values are contiguous), `cum`, the rows'
     cumulative probabilities, and `values`, the value guides of the
     coordinates drawn so far (see _value_guide).  A row costs n + 8 bytes,
@@ -487,28 +507,10 @@ class _ExtensionSampler(ConditionalSampler):
 
     def _build_support(self, pc: Poset) -> _Support:
         """The support of a conditioned poset."""
-        below = pc.below_masks
         w = self._float_weights
         if pc.k > self.enum_cap:
-            return _Support(below=below, upsets=None if w else _upset_counts(pc))
-        # One row per partial extension: its remaining elements, each placed
-        # element's step and its probability.  Row-major nonzero expands the
-        # rows in order, elements ascending: the backtracking order.
-        k = pc.k
-        bit = np.left_shift(1, np.arange(k, dtype=np.int64))
-        mask = np.array([(1 << k) - 1])
-        pos = np.zeros((1, k), dtype=np.int8)
-        prob = np.ones(1)
-        for step in range(k):
-            minimal = (mask[:, None] & (bit | below)) == bit
-            rows, es = np.nonzero(minimal)
-            mask, pos, prob = mask[rows] ^ bit[es], pos[rows], prob[rows]
-            pos[np.arange(len(rows)), es] = step
-            if w:  # times w[e] / the minimal elements' total, summed in ascending order
-                wm = np.where(minimal, w, 0.0)
-                prob *= wm[rows, es] / np.cumsum(wm, axis=1)[rows, -1]
-        # n x rows in one gather: pos.T's fancy-indexed rows come out C-contiguous
-        bits = (pos.T[self._pairs[:, 0]] < pos.T[self._pairs[:, 1]]).view(np.uint8)
+            return _Support(below=pc.below_masks, upsets=None if w else _upset_counts(pc))
+        _, bits, prob = extension_rows(pc, self._pairs, w)
         cum = np.cumsum(prob / prob.sum())
         cum[-1] = 1.0
         return _Support(bits=bits, cum=cum)
@@ -635,10 +637,15 @@ class BiasedExtensionSampler(_ExtensionSampler):
         super().__init__(poset)
         if len(weights) != poset.k:
             raise ValueError(f"need {poset.k} weights, got {len(weights)}")
-        if any(w <= 0 for w in weights):
-            raise ValueError("weights must be positive")
+        try:
+            floats = tuple(float(w) for w in weights)
+        except OverflowError as exc:
+            raise ValueError(f"weights must be finite floats: {exc}") from exc
+        # 0 < w < inf is false for nan; a finite sum keeps each step's total finite
+        if not all(0.0 < w < math.inf for w in floats) or sum(floats) == math.inf:
+            raise ValueError("weights and their sum must be positive and finite as floats")
         self.weights = tuple(weights)
-        self._float_weights = tuple(float(w) for w in weights)
+        self._float_weights = floats
 
 
 def uniform_extension_sampler(p: Poset, enum_cap: int = ENUM_CAP) -> UniformExtensionSampler:

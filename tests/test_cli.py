@@ -64,6 +64,13 @@ def test_unknown_sampler_spec_rejected(figure1_path):
     assert run_cli(["oracle-dtv", figure1_path, "--p", "biased:1e999,1,1,1", "--q", "uniform"]) == 1
 
 
+def test_weight_outside_the_float_range_is_usage_error(figure1_path, capsys):
+    # exact weights that parse, but whose float is 0 or overflows
+    for weight in ("1/1" + "0" * 400, "1" + "0" * 400):
+        assert run_cli(["estimate", figure1_path, "--sampler", f"biased:{weight},1,1,1"]) == 1
+        assert capsys.readouterr().err.startswith("error: weights")
+
+
 def test_estimate_json_report(figure1_path, capsys):
     code = run_cli(
         [

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from subtv import (
@@ -47,7 +47,7 @@ from subtv.errors import (
 from subtv.instances import generate_instance, instance_to_json
 from subtv.oracle import conditioned
 from subtv import posets
-from subtv.posets import ENUM_CAP, _WALK_CHUNK, _upset_counts
+from subtv.posets import ENUM_CAP, _WALK_CHUNK, _upset_counts, extension_rows
 
 from conftest import small_posets
 
@@ -251,16 +251,49 @@ def test_count_examples(figure1):
     assert count_extensions(chain20) == 1
 
 
-def test_enumerate_matches_permutations(figure1):
-    # an independent reference: every permutation of range(k) that respects
-    # leq, in itertools.permutations (lexicographic) order
+def _with_examples(posets):
+    """Run a Hypothesis test on each of these posets too, as explicit examples."""
+
+    def apply(test):
+        for p in posets:
+            test = example(p)(test)
+        return test
+
+    return apply
+
+
+@_with_examples(small_posets())  # figure1 among them
+@settings(max_examples=100, deadline=None)
+@given(ranked_posets())
+def test_enumerate_matches_permutations(p):
+    # the enumeration's reference: every permutation of range(k) that
+    # respects leq, in itertools.permutations (lexicographic) order
+    reference = [
+        order
+        for order in itertools.permutations(range(p.k))
+        if all(not p.leq[b, a] for i, a in enumerate(order) for b in order[i + 1 :])
+    ]
+    assert [e.order for e in enumerate_extensions(p)] == reference
+
+
+def test_extension_rows_bits_match_the_encoder(figure1):
+    # the tables and the oracle share extension_rows' gather; here it meets
+    # the independent per-extension encoder, on every prefix-conditioned
+    # poset encoded on its root's free map
     for p in small_posets() + [figure1]:
-        reference = [
-            order
-            for order in itertools.permutations(range(p.k))
-            if all(not p.leq[b, a] for i, a in enumerate(order) for b in order[i + 1 :])
-        ]
-        assert [e.order for e in enumerate_extensions(p)] == reference
+        fm = p.free_map
+        conds = {
+            prefix_condition(extension_to_bits(e, fm), i)
+            for e in enumerate_extensions(p)
+            for i in range(fm.n + 1)
+        }
+        for cond in sorted(conds, key=lambda c: c.fixed):
+            pos, bits, _ = extension_rows(apply_condition(p, cond), fm.pairs)
+            orders = pos.argsort(axis=1).tolist()
+            assert bits.shape == (fm.n, len(orders)) and bits.dtype == np.uint8
+            assert [tuple(row) for row in bits.T.tolist()] == [
+                extension_to_bits(LinearExtension(tuple(o)), fm) for o in orders
+            ]
 
 
 def test_upset_counts_closed_forms():
@@ -385,6 +418,26 @@ def test_uniform_sampler_mass(figure1):
     sampler = uniform_extension_sampler(figure1)
     assert sampler.mass((1, 1)) == pytest.approx(1 / 3)
     assert sampler.mass((0, 0)) == 0.0
+
+
+@pytest.mark.parametrize("k", [4, 11], ids=["table", "walk"])
+def test_biased_weights_must_be_positive_finite_floats(k):
+    # accepted, nan and inf would draw one wrong extension on the walk and
+    # fail inside the table's value guide; 1/10^400 is positive but its
+    # float is 0, and 10^400 overflows its float; finite weights whose
+    # total overflows would draw the same bits every time on both paths
+    p = Poset.from_relations(k, [])
+    bad = [math.nan, math.inf, -math.inf, -1, 0, Fraction(1, 10**400), 10**400]
+    for weights in [[1] * (k - 1) + [w] for w in bad] + [[1e308] * k]:
+        with pytest.raises(ValueError, match="finite"):
+            biased_extension_sampler(p, weights)
+    sampler = biased_extension_sampler(p, [1] * (k - 1) + [Fraction(1, 10**300)])
+    assert (sampler._support(FULL_CUBE).cum is not None) == (k <= ENUM_CAP)
+    draws = sampler.draw_many(FULL_CUBE, 100, rng_stream(5))
+    # the tiny-weight element comes last in all but about 1e-300 of draws
+    last = [(i, k - 1) for i in range(k - 1)]
+    cols = [sampler.free_map.pairs.index(pair) for pair in last]
+    assert (draws[:, cols] == 1).all()
 
 
 def test_biased_two_element_antichain():

@@ -24,6 +24,7 @@ from .estimator import estimate_tv
 from .posets import (
     Poset,
     biased_extension_sampler,
+    check_weights,
     encode_cnf,
     parse_poset,
     uniform_extension_sampler,
@@ -41,13 +42,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _in_unit(value: str) -> float:
-    x = float(value)
-    if not 0.0 < x < 1.0:
-        raise argparse.ArgumentTypeError(f"{value} not in (0, 1)")
-    return x
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="subtv", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -61,14 +55,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="estimate the TV distance from the uniform-extension distribution")
     add_run_flags(est)
-    est.add_argument("--zeta", type=_in_unit, default=0.3)
-    est.add_argument("--delta", type=_in_unit, default=0.2)
+    est.add_argument("--zeta", type=float, default=0.3)
+    est.add_argument("--delta", type=float, default=0.2)
 
     tst = sub.add_parser("test", help="accept/reject identity test against the uniform-extension distribution")
     add_run_flags(tst)
-    tst.add_argument("--epsilon", type=_in_unit, default=0.01)
-    tst.add_argument("--eta", type=_in_unit, default=0.61)
-    tst.add_argument("--delta", type=_in_unit, default=0.1)
+    tst.add_argument("--epsilon", type=float, default=0.01)
+    tst.add_argument("--eta", type=float, default=0.61)
+    tst.add_argument("--delta", type=float, default=0.1)
 
     odtv = sub.add_parser("oracle-dtv", help="exact TV distance between two sampler specs")
     odtv.add_argument("instance")
@@ -108,10 +102,10 @@ def parse_sampler_spec(spec: str, k: int) -> tuple[str, tuple | None]:
         return "biased", (Fraction(1),) * k
     if spec.startswith("biased:"):
         weights = tuple(parse_weight(t) for t in spec[len("biased:"):].split(","))
-        if len(weights) != k:
-            raise UsageError(f"sampler spec needs {k} weights, got {len(weights)}")
-        if any(w <= 0 for w in weights):
-            raise UsageError("weights must be positive")
+        try:  # the samplers' rule; the exact weights go on to the oracle
+            check_weights(k, weights)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         return "biased", weights
     raise UsageError(f"unknown sampler spec {spec!r}")
 
@@ -120,10 +114,7 @@ def build_sampler(poset: Poset, spec: str):
     kind, weights = parse_sampler_spec(spec, poset.k)
     if kind == "uniform":
         return uniform_extension_sampler(poset)
-    try:  # an exact weight can still underflow or overflow its float
-        return biased_extension_sampler(poset, weights)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return biased_extension_sampler(poset, weights)
 
 
 def _load_poset(path: str) -> Poset:

@@ -74,7 +74,6 @@ def estimate_mass(
     x: Bits,
     params: EstimatorParams,
     rng,
-    max_draws: int | None = None,
 ) -> MassEstimate:
     """Estimate the sampler's mass at x by conditioning on each prefix of x.
 
@@ -87,9 +86,7 @@ def estimate_mass(
     marginals = []
     for i in range(n):
         cond = prefix_condition(x, i)
-        marginals.append(
-            gbas_estimate(sampler, cond, i, x[i], params.k, rng, max_draws=max_draws)
-        )
+        marginals.append(gbas_estimate(sampler, cond, i, x[i], params.k, rng))
     p_hat_x = 1.0
     for m in marginals:
         p_hat_x *= m.p_hat

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from .core import Bits, Condition
 from .errors import DimensionMismatch, TooLarge, ZeroMassPrefix
-from .posets import ENUM_CAP, Poset, extension_rows
+from .posets import ENUM_CAP, Poset, check_weights, extension_rows
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,15 @@ def exact_distribution(
     The extensions and their free bits come from posets.extension_rows,
     as the samplers' tables do; the law is computed here, in Fractions.
     kind 'uniform': mass 1/|extensions| per extension.  kind 'biased': the
-    product of greedy step ratios per extension, for the given positive
-    per-element weights.  Pass the original poset's free_map to encode the
-    distribution of a conditioned poset on the full coordinate set.
+    product of greedy step ratios per extension, for per-element weights
+    that the biased sampler accepts (posets.check_weights, ValueError
+    otherwise), taken exactly.  Pass the original poset's free_map to encode
+    the distribution of a conditioned poset on the full coordinate set.
     """
+    if kind not in ("uniform", "biased"):
+        raise ValueError(f"unknown sampler kind {kind!r}")
+    if kind == "biased":  # before the cap, so bad weights never enumerate
+        check_weights(p.k, weights)
     if p.k > cap:
         raise TooLarge(f"enumeration needs k <= {cap}, got {p.k}")
     fm = free_map if free_map is not None else p.free_map
@@ -63,17 +68,11 @@ def exact_distribution(
     keys = list(map(tuple, bits.T.tolist()))
     if kind == "uniform":
         support = dict.fromkeys(keys, Fraction(1, len(keys)))
-    elif kind == "biased":
-        if weights is None:
-            raise ValueError("biased distribution needs weights")
+    else:
         ws = [Fraction(w) for w in weights]  # exact for floats too
-        if len(ws) != p.k or any(w <= 0 for w in ws):
-            raise ValueError(f"need {p.k} positive weights")
         below = p.below_masks.tolist()
         orders = pos.argsort(axis=1).tolist()
         support = {x: _greedy_step_products(below, o, ws) for x, o in zip(keys, orders)}
-    else:
-        raise ValueError(f"unknown sampler kind {kind!r}")
     assert sum(support.values()) == 1
     return ExactDistribution(support=support, n=fm.n)
 
@@ -82,25 +81,16 @@ def exact_tv(p_dist: ExactDistribution, q_dist: ExactDistribution) -> Fraction:
     """Total variation distance as the sum of positive pointwise deviations."""
     if p_dist.n != q_dist.n:
         raise DimensionMismatch(f"dimensions differ: {p_dist.n} vs {q_dist.n}")
-    points = set(p_dist.support) | set(q_dist.support)
-    return sum(
-        (max(Fraction(0), p_dist.mass(x) - q_dist.mass(x)) for x in points),
-        Fraction(0),
-    )
+    # a point outside p's support adds max(0, -q) = 0
+    q = q_dist.support
+    deviations = (m - q.get(x, 0) for x, m in p_dist.support.items())
+    return sum((d for d in deviations if d > 0), Fraction(0))
 
 
 def exact_marginal(dist: ExactDistribution, prefix: Condition, coord: int) -> Fraction:
     """Exact Pr[bit coord == 1 | prefix] under dist."""
-    total = Fraction(0)
-    ones = Fraction(0)
-    for x, mass in dist.support.items():
-        if prefix.agrees(x):
-            total += mass
-            if x[coord] == 1:
-                ones += mass
-    if total == 0:
-        raise ZeroMassPrefix("prefix has zero mass under the distribution")
-    return ones / total
+    kept = conditioned(dist, prefix).support
+    return sum((m for x, m in kept.items() if x[coord] == 1), Fraction(0))
 
 
 def conditioned(dist: ExactDistribution, prefix: Condition) -> ExactDistribution:

@@ -47,6 +47,28 @@ def test_bad_zeta_is_usage_error(figure1_path):
     assert run_cli(["estimate", figure1_path, "--sampler", "uniform", "--zeta", "1.5"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["estimate", "--zeta", "nan"], "zeta must lie in (0, 1)"),
+        (["estimate", "--zeta", "1.5"], "zeta must lie in (0, 1)"),
+        (["estimate", "--delta", "0"], "delta must lie in (0, 1)"),
+        (["test", "--epsilon", "0"], "need 0 < epsilon < eta <= 1"),
+        (["test", "--delta", "0.5"], "delta must lie in (0, 1/2)"),
+    ],
+)
+def test_tolerances_are_checked_by_the_library(figure1_path, capsys, argv, message):
+    # the flags parse as floats; estimate_tv and identity_test decide
+    assert run_cli([argv[0], figure1_path, "--sampler", "uniform", *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+def test_eta_of_one_is_accepted(figure1_path):
+    argv = ["test", figure1_path, "--sampler", "uniform", "--epsilon", "0.2", "--eta", "1.0"]
+    assert run_cli(argv) in (0, 3)
+
+
 def test_unknown_flag_rejected(figure1_path):
     assert run_cli(["estimate", figure1_path, "--sampler", "uniform", "--frobnicate"]) == 1
 
@@ -65,10 +87,14 @@ def test_unknown_sampler_spec_rejected(figure1_path):
 
 
 def test_weight_outside_the_float_range_is_usage_error(figure1_path, capsys):
-    # exact weights that parse, but whose float is 0 or overflows
+    # exact weights that parse, but whose float is 0 or overflows; the
+    # oracle rejects what the samplers reject
     for weight in ("1/1" + "0" * 400, "1" + "0" * 400):
         assert run_cli(["estimate", figure1_path, "--sampler", f"biased:{weight},1,1,1"]) == 1
         assert capsys.readouterr().err.startswith("error: weights")
+        assert run_cli(["oracle-dtv", figure1_path, "--p", f"biased:{weight},1,1,1", "--q", "uniform"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: weights") and "Traceback" not in err
 
 
 def test_estimate_json_report(figure1_path, capsys):

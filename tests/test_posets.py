@@ -425,12 +425,17 @@ def test_biased_weights_must_be_positive_finite_floats(k):
     # accepted, nan and inf would draw one wrong extension on the walk and
     # fail inside the table's value guide; 1/10^400 is positive but its
     # float is 0, and 10^400 overflows its float; finite weights whose
-    # total overflows would draw the same bits every time on both paths
+    # total overflows would draw the same bits every time on both paths;
+    # the oracle's exact law takes the same rule, before its enumeration
+    # cap (the default cap, not cap=k, so that an oracle checking after
+    # the cap raises TooLarge at k = 11 instead of listing 11! extensions)
     p = Poset.from_relations(k, [])
     bad = [math.nan, math.inf, -math.inf, -1, 0, Fraction(1, 10**400), 10**400]
     for weights in [[1] * (k - 1) + [w] for w in bad] + [[1e308] * k]:
         with pytest.raises(ValueError, match="finite"):
             biased_extension_sampler(p, weights)
+        with pytest.raises(ValueError, match="finite"):
+            exact_distribution(p, "biased", weights)
     sampler = biased_extension_sampler(p, [1] * (k - 1) + [Fraction(1, 10**300)])
     assert (sampler._support(FULL_CUBE).cum is not None) == (k <= ENUM_CAP)
     draws = sampler.draw_many(FULL_CUBE, 100, rng_stream(5))

@@ -22,7 +22,6 @@ from .estimator import EstimatorParams, derive_params, estimate_mass, estimate_t
 from .gbas import gbas_estimate
 from .oracle import ExactDistribution, exact_distribution, exact_marginal, exact_tv
 from .posets import (
-    LinearExtension,
     Poset,
     apply_condition,
     biased_extension_sampler,
@@ -46,7 +45,6 @@ __all__ = [
     "ExactDistribution",
     "FULL_CUBE",
     "KnownDistribution",
-    "LinearExtension",
     "Poset",
     "ProductSampler",
     "REJECT",

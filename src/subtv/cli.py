@@ -225,9 +225,6 @@ def run_cli(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except BudgetExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -38,14 +38,8 @@ class Condition:
 
     fixed: tuple[tuple[int, int], ...] = ()
 
-    def bit_at(self, index: int) -> Optional[int]:
-        for i, b in self.fixed:
-            if i == index:
-                return b
-        return None
-
     def is_free(self, index: int) -> bool:
-        return self.bit_at(index) is None
+        return all(i != index for i, _ in self.fixed)
 
     def agrees(self, x: Sequence[int]) -> bool:
         return all(x[i] == b for i, b in self.fixed)

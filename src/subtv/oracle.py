@@ -51,6 +51,8 @@ def exact_distribution(
 
     The extensions and their free bits come from posets.extension_rows,
     as the samplers' tables do; the law is computed here, in Fractions.
+    TooLarge when p has more than cap elements (ENUM_CAP unless raised),
+    and, under any cap, from extension_rows past posets.ROW_CAP extensions.
     kind 'uniform': mass 1/|extensions| per extension.  kind 'biased': the
     product of greedy step ratios per extension, for per-element weights
     that the biased sampler accepts (posets.check_weights, ValueError

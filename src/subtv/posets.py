@@ -10,7 +10,7 @@ closed matrix; a relation whose reverse already holds is a cycle, and the
 error it raises (CycleError, ContradictionError, InvalidEncoding) names it.
 One level-by-level expansion, extension_rows, lists an order's linear
 extensions for the samplers' support tables, enumerate_extensions and the
-exact oracle alike.
+exact oracle alike, and it alone bounds such a listing at ROW_CAP rows.
 
 Elements are 0-based internally; instance documents and reported pair
 labels are 1-based.
@@ -30,6 +30,8 @@ from .core import Bits, Condition, ConditionalSampler, KnownDistribution, unifor
 from .errors import ContradictionError, CycleError, InvalidEncoding, ParseError, TooLarge
 
 ENUM_CAP = 10
+# Rows of one listing of linear extensions (see extension_rows).
+ROW_CAP = 1 << 19
 COUNT_CAP = 20
 # The walk's remaining-element sets are int64 masks.
 ELEMENT_CAP = 63
@@ -47,16 +49,6 @@ class FreeBitMap:
 
     def label_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((i + 1, j + 1) for i, j in self.pairs)
-
-
-@dataclass(frozen=True)
-class LinearExtension:
-    """A total order (permutation of 0..k-1) containing the poset order."""
-
-    order: tuple[int, ...]
-
-    def labels(self) -> tuple[int, ...]:
-        return tuple(e + 1 for e in self.order)
 
 
 def _add_relations(
@@ -241,7 +233,10 @@ def extension_rows(
     r places pairs[c]'s first element first; prob[r] is the greedy walk's
     probability of row r under the weights, 1 without them.  Each step
     extends every row by each of its minimal elements, and row-major
-    nonzero keeps the rows in lexicographic order.
+    nonzero keeps the rows in lexicographic order.  Every row has a minimal
+    element, so no level has fewer rows than the one before: a level of
+    more than ROW_CAP rows raises TooLarge before it is built, which bounds
+    the whole listing.
     """
     k, below = p.k, p.below_masks
     pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
@@ -252,6 +247,8 @@ def extension_rows(
     for step in range(k):
         minimal = (mask[:, None] & (bit | below)) == bit
         rows, es = np.nonzero(minimal)
+        if len(rows) > ROW_CAP:
+            raise TooLarge(f"over {ROW_CAP} extensions: {len(rows)} partial ones at step {step + 1}")
         mask, pos, prob = mask[rows] ^ bit[es], pos[rows], prob[rows]
         pos[np.arange(len(rows)), es] = step
         if weights:  # times w[e] / the minimal elements' total, summed in ascending order
@@ -262,12 +259,12 @@ def extension_rows(
     return pos, bits, prob
 
 
-def enumerate_extensions(p: Poset) -> list[LinearExtension]:
-    """All linear extensions in lexicographic order, from extension_rows; k <= ENUM_CAP."""
-    if p.k > ENUM_CAP:
-        raise TooLarge(f"enumeration needs k <= {ENUM_CAP}, got {p.k}")
-    pos = extension_rows(p, ())[0]
-    return [LinearExtension(tuple(order)) for order in pos.argsort(axis=1).tolist()]
+def enumerate_extensions(p: Poset) -> list[tuple[int, ...]]:
+    """All linear extensions, each the tuple of elements in its order, sorted.
+
+    extension_rows' listing, so TooLarge past ROW_CAP extensions.
+    """
+    return list(map(tuple, extension_rows(p, ())[0].argsort(axis=1).tolist()))
 
 
 def _upset_counts(p: Poset) -> tuple[np.ndarray, np.ndarray]:
@@ -305,13 +302,13 @@ def count_extensions(p: Poset) -> int:
     return int(_upset_counts(p)[1][-1])
 
 
-def extension_to_bits(e: LinearExtension, free_map: FreeBitMap) -> Bits:
-    """Free-bit encoding: bit for pair (i, j) is 1 iff i precedes j in e."""
-    pos = {elem: t for t, elem in enumerate(e.order)}
+def extension_to_bits(e: Sequence[int], free_map: FreeBitMap) -> Bits:
+    """Free-bit encoding of the order e: bit for pair (i, j) is 1 iff i precedes j."""
+    pos = {elem: t for t, elem in enumerate(e)}
     return tuple(1 if pos[i] < pos[j] else 0 for i, j in free_map.pairs)
 
 
-def bits_to_extension(bits: Bits, p: Poset) -> LinearExtension:
+def bits_to_extension(bits: Bits, p: Poset) -> tuple[int, ...]:
     """Inverse of extension_to_bits; InvalidEncoding when no extension matches."""
     free_map = p.free_map
     if len(bits) != free_map.n:
@@ -319,7 +316,7 @@ def bits_to_extension(bits: Bits, p: Poset) -> LinearExtension:
     pairs = (pair if bit == 1 else pair[::-1] for pair, bit in zip(free_map.pairs, bits))
     leq = _add_relations(p.leq, pairs, InvalidEncoding)
     # Every pair is now decided, so the elements' predecessor counts are 0..k-1.
-    return LinearExtension(tuple(np.argsort(leq.sum(axis=0)).tolist()))
+    return tuple(np.argsort(leq.sum(axis=0)).tolist())
 
 
 def encode_cnf(p: Poset) -> str:
@@ -372,13 +369,14 @@ class _Support:
     Every condition that implies the same order shares one support, so
     its arrays and value guides are built and counted once.
 
-    Up to enum_cap elements, the exact support table, one row per extension
-    in extension_rows' order: `bits`, each free bit's values over the rows
-    (n x rows, so one coordinate's values are contiguous), `cum`, the rows'
-    cumulative probabilities, and `values`, the value guides of the
-    coordinates drawn so far (see _value_guide).  A row costs n + 8 bytes,
-    and 2 to 4 more for each coordinate's guide.
-    Above enum_cap, the batched walk's inputs: the conditioned poset's
+    Up to enum_cap elements and ROW_CAP extensions, the exact support
+    table, one row per extension in extension_rows' order: `bits`, each
+    free bit's values over the rows (n x rows, so one coordinate's values
+    are contiguous), `cum`, the rows' cumulative probabilities, and
+    `values`, the value guides of the coordinates drawn so far (see
+    _value_guide).  A row costs n + 8 bytes, and 2 to 4 more for each
+    coordinate's guide.
+    Otherwise the batched walk's inputs: the conditioned poset's
     strict-predecessor masks and, for the uniform sampler, the up-sets the
     walk can reach, sorted, with their counts of linear orders.
     """
@@ -426,20 +424,23 @@ class _ExtensionSampler(ConditionalSampler):
     contradictory condition means a zero-mass subcube and falls back to
     uniform bits on the free coordinates.
 
-    Every draw, single or batched, takes one of two paths.  When the poset
-    has at most enum_cap elements it is a lookup in an exact support table
-    per conditioned order, built level by level: each step expands every
-    partial extension by each of its minimal elements and multiplies its
-    probability by the walk's for that element.  A draw takes one uniform
-    u and the row that a binary search of u in cum picks; draw_coordinate
-    reads that row's bit from the coordinate's value guide, searching only
-    for the u whose bucket holds rows that disagree.  Above enum_cap it is
-    the batched walk: all rows of a call advance together, one element per
-    step, each picking among its current minimal elements by weight
-    (biased) or by the number of extensions that start with each (uniform,
-    counted over the up-sets the walk can reach).  Both paths give the same
-    law, so enum_cap bounds the memory of a table (one row per extension),
-    not the draw's speed.
+    Every draw, single or batched, takes one of two paths.  When the
+    conditioned order has at most enum_cap elements and at most ROW_CAP
+    extensions, it is a lookup in an exact support table per conditioned
+    order, built level by level: each step expands every partial extension
+    by each of its minimal elements and multiplies its probability by the
+    walk's for that element.  A draw takes one uniform u and the row that
+    a binary search of u in cum picks; draw_coordinate reads that row's bit
+    from the coordinate's value guide, searching only for the u whose
+    bucket holds rows that disagree.  Otherwise it is the batched walk: all
+    rows of a call advance together, one element per step, each picking
+    among its current minimal elements by weight (biased) or by the number
+    of extensions that start with each (uniform, counted over the up-sets
+    the walk can reach).  An order of more extensions than ROW_CAP (a
+    10-antichain's 10! = 3.6 M) is found by the expansion itself, which
+    stops at its first level past the cap.  Both paths give the same law,
+    so enum_cap and ROW_CAP bound the memory of a table (one row per
+    extension), not the draw's speed.
     A support depends only on the conditioned order, so each sampler keeps
     one support per order in an LRU cache of at most _CACHE_ORDERS
     conditioned orders and _CACHE_BYTES bytes of arrays, value guides
@@ -524,14 +525,18 @@ class _ExtensionSampler(ConditionalSampler):
         return pc, key
 
     def _build_support(self, pc: Poset) -> _Support:
-        """The support of a conditioned poset."""
+        """The support of a conditioned poset: a table when one fits, else the walk's."""
         w = self._float_weights
-        if pc.k > self.enum_cap:
-            return _Support(below=pc.below_masks, upsets=None if w else _upset_counts(pc))
-        _, bits, prob = extension_rows(pc, self._pairs, w)
-        cum = np.cumsum(prob / prob.sum())
-        cum[-1] = 1.0
-        return _Support(bits=bits, cum=cum)
+        if pc.k <= self.enum_cap:
+            try:
+                _, bits, prob = extension_rows(pc, self._pairs, w)
+            except TooLarge:  # over ROW_CAP extensions
+                pass
+            else:
+                cum = np.cumsum(prob / prob.sum())
+                cum[-1] = 1.0
+                return _Support(bits=bits, cum=cum)
+        return _Support(below=pc.below_masks, upsets=None if w else _upset_counts(pc))
 
     def _walk(self, support: _Support, m: int, rng: np.random.Generator):
         """Yield (first row, positions) for m walks, _WALK_CHUNK walks at a time.

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from subtv import (
     FULL_CUBE,
-    LinearExtension,
     Poset,
     apply_condition,
     biased_extension_sampler,
@@ -236,7 +235,7 @@ def test_apply_condition_keeps_exactly_the_agreeing_extensions(pc):
 
 def test_enumerate_figure1(figure1):
     exts = enumerate_extensions(figure1)
-    assert [e.labels() for e in exts] == [(1, 2, 3, 4), (1, 2, 4, 3), (1, 3, 2, 4)]
+    assert exts == [(0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3)]
 
 
 def test_enumerate_chain_and_antichain(chain3, antichain3):
@@ -273,7 +272,7 @@ def test_enumerate_matches_permutations(p):
         for order in itertools.permutations(range(p.k))
         if all(not p.leq[b, a] for i, a in enumerate(order) for b in order[i + 1 :])
     ]
-    assert [e.order for e in enumerate_extensions(p)] == reference
+    assert enumerate_extensions(p) == reference
 
 
 def test_extension_rows_bits_match_the_encoder(figure1):
@@ -292,7 +291,7 @@ def test_extension_rows_bits_match_the_encoder(figure1):
             orders = pos.argsort(axis=1).tolist()
             assert bits.shape == (fm.n, len(orders)) and bits.dtype == np.uint8
             assert [tuple(row) for row in bits.T.tolist()] == [
-                extension_to_bits(LinearExtension(tuple(o)), fm) for o in orders
+                extension_to_bits(o, fm) for o in orders
             ]
 
 
@@ -311,10 +310,88 @@ def test_upset_counts_closed_forms():
 
 
 def test_caps():
-    with pytest.raises(TooLarge):
-        enumerate_extensions(Poset.from_relations(11, []))
+    # the listings' row bound is checked in test_listings_stop_at_the_row_cap
     with pytest.raises(TooLarge):
         count_extensions(Poset.from_relations(21, []))
+
+
+def _run_python(code: str, max_bytes: int | None = None) -> None:
+    """Run code in a fresh interpreter that imports subtv from src, and
+    assert it exits 0; max_bytes caps the child's address space, so that a
+    listing with no row bound fails the test instead of taking the machine's
+    memory (the 11-antichain has 39.9 M extensions)."""
+    if max_bytes is not None:
+        code = f"import resource\nresource.setrlimit(resource.RLIMIT_AS, ({max_bytes}, {max_bytes}))\n{code}"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+
+
+def test_listings_stop_at_the_row_cap():
+    # the 11-antichain is within the oracle's cap=11 and has no element cap
+    # in enumerate_extensions, but its 11! extensions pass ROW_CAP: the
+    # expansion stops at its first level past it, at a bounded peak
+    _run_python(
+        """
+import tracemalloc
+from subtv import Poset, enumerate_extensions, exact_distribution
+from subtv.errors import TooLarge
+p = Poset.from_relations(11, [])
+for listing in (lambda: exact_distribution(p, "uniform", cap=11), lambda: enumerate_extensions(p)):
+    tracemalloc.start()
+    try:
+        listing()
+    except TooLarge:
+        peak = tracemalloc.get_traced_memory()[1]
+    else:
+        raise AssertionError("listed 11! extensions")
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20, peak
+""",
+        max_bytes=1 << 30,
+    )
+
+
+def test_oversized_table_falls_back_to_the_walk():
+    # the 10-antichain is within ENUM_CAP, but its 10! extensions pass
+    # ROW_CAP (a 183 MB table), so both samplers draw from the walk; on an
+    # antichain both laws are uniform, so every pair bit is a fair coin
+    _run_python(
+        """
+import tracemalloc
+import numpy as np
+from subtv import FULL_CUBE, Poset, biased_extension_sampler, bits_to_extension, rng_stream
+from subtv import uniform_extension_sampler
+p = Poset.from_relations(10, [])
+for make in (uniform_extension_sampler, lambda p: biased_extension_sampler(p, [1] * 10)):
+    tracemalloc.start()
+    try:
+        sampler = make(p)
+        draws = sampler.draw_many(FULL_CUBE, 2000, rng_stream(19))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20, peak
+    assert sampler._support(FULL_CUBE).cum is None
+    for row in draws.tolist():
+        bits_to_extension(tuple(row), p)
+    z = np.abs(draws.mean(axis=0) - 0.5) / np.sqrt(0.25 / len(draws))
+    assert (z < 4).all(), z.max()
+""",
+        max_bytes=1 << 30,
+    )
+
+
+def test_enumerate_extensions_has_no_element_cap():
+    # k = 14 > ENUM_CAP, but 36 extensions: only the row bound limits a listing
+    p = parse_poset(instance_to_json(generate_instance("avgdeg", "4", 14, 0)))
+    orders = enumerate_extensions(p)
+    assert len(set(orders)) == count_extensions(p) == 36 and orders == sorted(orders)
+    assert all(bits_to_extension(extension_to_bits(o, p.free_map), p) == o for o in orders)
 
 
 def test_oversized_document_is_rejected_before_allocating():
@@ -349,10 +426,10 @@ def test_count_matches_enumeration_random(p):
 
 def test_extension_bits_examples(figure1):
     fm = figure1.free_map
-    assert extension_to_bits(LinearExtension((0, 1, 2, 3)), fm) == (1, 1)
-    assert extension_to_bits(LinearExtension((0, 2, 1, 3)), fm) == (0, 1)
-    assert extension_to_bits(LinearExtension((0, 1, 3, 2)), fm) == (1, 0)
-    assert bits_to_extension((1, 1), figure1).labels() == (1, 2, 3, 4)
+    assert extension_to_bits((0, 1, 2, 3), fm) == (1, 1)
+    assert extension_to_bits((0, 2, 1, 3), fm) == (0, 1)
+    assert extension_to_bits((0, 1, 3, 2), fm) == (1, 0)
+    assert bits_to_extension((1, 1), figure1) == (0, 1, 2, 3)
     with pytest.raises(InvalidEncoding):
         bits_to_extension((0, 0), figure1)
 
@@ -641,7 +718,7 @@ def test_walk_top_uniform_picks_last_minimal_element(u):
     ((_, pos),) = sampler._walk(sampler._support(FULL_CUBE), 5, _FixedUniform(u))
     assert (pos.T == [2, 1, 3, 0]).all()  # the step of each element
     draws = sampler.draw_many(FULL_CUBE, 5, _FixedUniform(u))
-    expected = extension_to_bits(LinearExtension((3, 1, 0, 2)), p.free_map)
+    expected = extension_to_bits((3, 1, 0, 2), p.free_map)
     assert [tuple(row) for row in draws.tolist()] == [expected] * 5
 
 
@@ -1029,12 +1106,7 @@ for enum_cap in (10, 0):
 assert count_extensions(p) == 180
 assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
 """
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert out.returncode == 0, out.stderr
+    _run_python(code)
 
 
 def test_uniform_self_reducibility_exact():

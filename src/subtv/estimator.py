@@ -106,6 +106,30 @@ class EstimateReport:
     seed: int
 
 
+class _Budgeted(ConditionalSampler):
+    """The sampler, held to a budget: a request that would take the draws made
+    past it raises BudgetExhausted before it is made, and none is shortened."""
+
+    def __init__(self, sampler: ConditionalSampler, budget: float, terms: list[float]):
+        self.sampler, self.n, self.budget, self.terms = sampler, sampler.n, budget, terms
+        self.made = 0
+
+    def _take(self, m: int) -> None:
+        if self.made + m > self.budget:
+            raise BudgetExhausted(
+                f"{self.budget}-sample budget exhausted", draws=self.made, partial_terms=self.terms
+            )
+        self.made += m
+
+    def draw_many(self, condition, m, rng):
+        self._take(m)
+        return self.sampler.draw_many(condition, m, rng)
+
+    def draw_coordinate(self, condition, coord, m, rng):
+        self._take(m)
+        return self.sampler.draw_coordinate(condition, coord, m, rng)
+
+
 def _one_term(
     sampler: ConditionalSampler,
     known: KnownDistribution,
@@ -135,30 +159,28 @@ def estimate_tv(
 
     With probability at least 1 - delta the result is within an additive
     zeta of the true distance.  Iteration j always uses stream (seed, j),
-    so the report is a pure function of the arguments.  When
-    max_total_samples is exhausted between iterations a BudgetExhausted
-    carrying the partial terms is raised.  threads is accepted and ignored:
-    the loop runs on the calling thread, and the keyword goes once the
+    so the report is a pure function of the arguments.  max_total_samples
+    (a non-negative integer, or None) bounds the draws made: a draw request
+    that would pass it raises BudgetExhausted with the draws made and the
+    finished points' terms, a prefix of the unbudgeted run's.  Draws made
+    include the unused tail of each marginal's last batch, which
+    total_samples does not count.  threads is accepted and ignored: the
+    loop runs on the calling thread, and the keyword goes once the
     benchmark stops passing it (ROADMAP item 1).
     """
     if sampler.n != known.n:
         raise DimensionMismatch(f"sampler has n={sampler.n}, known has n={known.n}")
     if seed < 0:  # a seed sequence takes only non-negative integers
         raise InvalidParameter(f"seed must be at least 0, got {seed}")
-    if max_total_samples is not None and max_total_samples < 0:
-        raise InvalidParameter(f"max_total_samples must be at least 0, got {max_total_samples}")
+    limit = max_total_samples
+    if limit is not None and not (limit >= 0 and float(limit).is_integer()):
+        raise InvalidParameter(f"max_total_samples must be a non-negative integer, got {limit}")
     params = derive_params(sampler.n, zeta, delta)
     terms: list[float] = []
+    budgeted = _Budgeted(sampler, math.inf if limit is None else limit, terms)
     total = 0
     for j in range(params.alpha):
-        if max_total_samples is not None and total >= max_total_samples:
-            raise BudgetExhausted(
-                f"budget of {max_total_samples} samples exhausted after "
-                f"{len(terms)}/{params.alpha} iterations",
-                draws=total,
-                partial_terms=terms,
-            )
-        term, draws = _one_term(sampler, known, params, seed, j)
+        term, draws = _one_term(budgeted, known, params, seed, j)
         terms.append(term)
         total += draws
     return EstimateReport(

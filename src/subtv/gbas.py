@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Condition, ConditionalSampler
-from .errors import BudgetExhausted, IndexOutOfRange, InvalidParameter
+from .errors import IndexOutOfRange, InvalidParameter
 
 # Per-call allocation cap, not a draw budget.
 _MAX_BATCH = 1 << 22
@@ -46,14 +46,13 @@ _FLOOR = 64
 class GbasResult:
     """Outcome of one marginal estimation.
 
-    p_hat equals (k - 1) / r exactly; draws is the number of sampler calls
-    consumed, which is at least k.
+    p_hat equals (k - 1) / r exactly; draws is the position of the k-th
+    success in the draw stream, so at least k.
     """
 
     p_hat: float
     draws: int
     r: float
-    s: int
 
 
 def gbas_estimate(
@@ -63,15 +62,12 @@ def gbas_estimate(
     head: int,
     k: int,
     rng: np.random.Generator,
-    max_draws: int | None = None,
 ) -> GbasResult:
     """Estimate p = Pr[draw(condition)[coord] == head] from k successes.
 
     coord must lie in [0, sampler.n) and k must be an integer of at least 2.
-    max_draws caps the sampler calls and must be a non-negative integer;
-    None means no cap.  No batch asks for draws past the cap.  Raises
-    BudgetExhausted if max_draws calls pass before the k-th success (at
-    once for 0), which signals p ~ 0 or a broken sampler.
+    Draws continue until the k-th success, so at p = 0 they never stop
+    unless the sampler raises; estimate_tv's budget is such a stop.
     """
     if not isinstance(k, (int, np.integer)) or k < 2:
         raise InvalidParameter(f"k must be an integer of at least 2, got {k}")
@@ -81,27 +77,19 @@ def gbas_estimate(
         raise InvalidParameter(f"head must be 0 or 1, got {head}")
     if not condition.is_free(coord):
         raise InvalidParameter(f"coordinate {coord} is fixed by the condition")
-    if max_draws is not None and not (max_draws >= 0 and float(max_draws).is_integer()):
-        raise InvalidParameter(f"max_draws must be a non-negative integer, got {max_draws}")
-    limit = math.inf if max_draws is None else int(max_draws)
 
     s = 0
     draws = 0
-    batch = min(k, _MAX_BATCH)
+    batch = min(int(k), _MAX_BATCH)
     while True:
-        if draws >= limit:
-            raise BudgetExhausted(
-                f"{draws} draws produced only {s}/{k} successes", draws=draws
-            )
-        m = int(min(batch, limit - draws))
-        hit = np.asarray(sampler.draw_coordinate(condition, coord, m, rng)) == head
+        hit = np.asarray(sampler.draw_coordinate(condition, coord, batch, rng)) == head
         hits = int(np.count_nonzero(hit))
         if s + hits >= k:
             # The k-th success lands inside this batch; stop the count at it.
             draws += int(np.flatnonzero(hit)[k - s - 1]) + 1
             break
         s += hits
-        draws += m
+        draws += batch
         # With no success yet, one is assumed; the cap at the draws so far
         # then doubles the total.
         need = k - s
@@ -109,4 +97,4 @@ def gbas_estimate(
         expect = need / rate + _SPREAD * math.sqrt(need * (1 - rate)) / rate
         batch = min(int(expect) + _FLOOR, draws, _MAX_BATCH)
     r = rng.gamma(draws)
-    return GbasResult(p_hat=(k - 1) / r, draws=draws, r=r, s=k)
+    return GbasResult(p_hat=(k - 1) / r, draws=draws, r=r)

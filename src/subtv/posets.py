@@ -246,9 +246,9 @@ def extension_rows(
     prob = np.ones(1)
     for step in range(k):
         minimal = (mask[:, None] & (bit | below)) == bit
+        if (count := np.count_nonzero(minimal)) > ROW_CAP:
+            raise TooLarge(f"over {ROW_CAP} extensions: {count} partial ones at step {step + 1}")
         rows, es = np.nonzero(minimal)
-        if len(rows) > ROW_CAP:
-            raise TooLarge(f"over {ROW_CAP} extensions: {len(rows)} partial ones at step {step + 1}")
         mask, pos, prob = mask[rows] ^ bit[es], pos[rows], prob[rows]
         pos[np.arange(len(rows)), es] = step
         if weights:  # times w[e] / the minimal elements' total, summed in ascending order

@@ -191,7 +191,7 @@ def test_budget_exhaustion_gives_partial_report(figure1_path, capsys):
     assert code == 2
     report = _json_report(capsys)
     assert report["partial"] is True
-    assert report["samples"] >= 5000
+    assert report["samples"] <= 5000
     assert report["wall_time"] > 0
 
 
@@ -203,25 +203,32 @@ _RUN = {"sampler", "max_samples"}
     "argv, code, verdict, keys",
     [
         (["estimate", "--sampler", "uniform"], 0, None, _ESTIMATOR | _RUN),
-        (["estimate", "--sampler", "uniform", "--max-samples", "5000"], 2, None,
+        (["estimate", "--sampler", "uniform", "--max-samples", "20000"], 2, None,
          {"zeta", "delta"} | _RUN),
         (["test", "--sampler", "uniform"], 0, "A",
          {"epsilon", "eta", "delta", "zeta", "delta_t", "threshold"}
          | {f"est_{k}" for k in _ESTIMATOR} | _RUN),
-        (["test", "--sampler", "biased:1,2,3,4", "--max-samples", "5000"], 2, None,
+        (["test", "--sampler", "biased:1,2,3,4", "--max-samples", "20000"], 2, None,
          {"epsilon", "eta", "delta"} | _RUN),
+        (["estimate", "--sampler", "uniform", "--max-samples", "5000"], 2, None,
+         {"zeta", "delta"} | _RUN),
     ],
-    ids=["estimate", "estimate-partial", "test", "test-partial"],
+    ids=["estimate", "estimate-partial", "test", "test-partial", "estimate-no-point"],
 )
 def test_report_params(figure1_path, capsys, argv, code, verdict, keys):
     # a complete report names every parameter; a partial one only the
-    # command's flags, with the sampler and budget
+    # command's flags, with the sampler and budget.  20000 samples finish a
+    # point of figure1 at zeta = 0.3; 5000 finish none, so no estimate
     assert run_cli([argv[0], figure1_path, *argv[1:], "--format", "json"]) == code
     report = _json_report(capsys)
     assert set(report["params"]) == keys
     assert report["verdict"] == verdict
     assert report["partial"] is (code == 2)
-    assert 0.0 <= report["estd_dtv"] < 1.0 and report["samples"] > 0
+    assert report["samples"] > 0
+    if "5000" in argv:
+        assert report["estd_dtv"] is None
+    else:
+        assert 0.0 <= report["estd_dtv"] < 1.0
 
 
 def test_test_table_row_shows_verdict(figure1_path, antichain3_path, capsys):

@@ -5,10 +5,15 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subtv import (
+    ConditionalSampler,
     EstimatorParams,
+    Poset,
     ProductSampler,
     biased_extension_sampler,
     derive_params,
@@ -208,9 +213,97 @@ def test_estimate_mass_log_product_path_for_wide_cubes():
 def test_estimate_tv_budget_exhaustion(figure1):
     unknown = uniform_extension_sampler(figure1)
     with pytest.raises(BudgetExhausted) as err:
-        estimate_tv(unknown, unknown, 0.3, 0.2, seed=0, max_total_samples=5000)
-    assert err.value.draws >= 5000
+        estimate_tv(unknown, unknown, 0.3, 0.2, seed=0, max_total_samples=20000)
+    assert err.value.draws <= 20000
     assert 0 < len(err.value.partial_terms) < 67
+
+
+class _Counting(ConditionalSampler):
+    """Forwards to a sampler and counts the draws requested of it."""
+
+    def __init__(self, sampler):
+        self.sampler, self.n, self.made = sampler, sampler.n, 0
+
+    def draw_many(self, condition, m, rng):
+        self.made += m
+        return self.sampler.draw_many(condition, m, rng)
+
+    def draw_coordinate(self, condition, coord, m, rng):
+        self.made += m
+        return self.sampler.draw_coordinate(condition, coord, m, rng)
+
+
+_FIGURE1 = Poset.from_relations(4, [(1, 2), (1, 3), (2, 4)])
+_BUDGET_CASES = {
+    "product": (ProductSampler([0.3, 0.8]), ProductSampler([0.5, 0.5])),
+    "figure1": (
+        biased_extension_sampler(_FIGURE1, [1, 1, 1, 1]),
+        uniform_extension_sampler(_FIGURE1),
+    ),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=st.sampled_from(sorted(_BUDGET_CASES)), seed=st.integers(0, 1000), data=st.data())
+def test_budget_bounds_the_draws_made_and_keeps_a_prefix(case, seed, data):
+    # count the unbudgeted run's draws made; a budget below that count stops
+    # the run within it, with a prefix of the full run's terms, and a budget
+    # at or above it returns the full run's report
+    unknown, known = _BUDGET_CASES[case]
+    counting = _Counting(unknown)
+    full = estimate_tv(counting, known, 0.9, 0.5, seed=seed)
+    made = counting.made
+    assert full.total_samples <= made
+    for budget in (made - 1, data.draw(st.integers(0, made - 1), label="below")):
+        counting = _Counting(unknown)
+        with pytest.raises(BudgetExhausted) as err:
+            estimate_tv(counting, known, 0.9, 0.5, seed=seed, max_total_samples=budget)
+        assert err.value.draws == counting.made <= budget
+        terms = err.value.partial_terms
+        assert terms == full.per_sample_terms[: len(terms)] and len(terms) < full.params.alpha
+    for budget in (made, data.draw(st.integers(made, 2 * made), label="above")):
+        assert estimate_tv(unknown, known, 0.9, 0.5, seed=seed, max_total_samples=budget) == full
+
+
+class _ZeroMassAtItsDraw(ConditionalSampler):
+    """Draws (1, 1), but under x0 = 1 always gives x1 = 0: the second
+    marginal at its own draw is 0, so its first point never finishes."""
+
+    n = 2
+
+    def __init__(self):
+        self.made = 0
+
+    def draw_many(self, condition, m, rng):
+        self.made += m
+        if self.made > 100_000:
+            raise AssertionError(f"{self.made} draws against a budget of 1000")
+        out = np.ones((m, 2), dtype=np.uint8)
+        out[:, 1] = not condition.fixed
+        return out
+
+
+def test_budget_stops_a_point_that_never_finishes():
+    sampler = _ZeroMassAtItsDraw()
+    with pytest.raises(BudgetExhausted) as err:
+        estimate_tv(sampler, ProductSampler([0.5, 0.5]), 0.9, 0.5, max_total_samples=1000)
+    assert err.value.draws == sampler.made <= 1000
+    assert err.value.partial_terms == ()
+
+
+def test_zero_budget_makes_no_draw():
+    known = ProductSampler([0.5, 0.5])
+    sampler = _Counting(known)
+    with pytest.raises(BudgetExhausted) as err:
+        estimate_tv(sampler, known, 0.3, 0.2, max_total_samples=0)
+    assert err.value.draws == sampler.made == 0
+
+
+@pytest.mark.parametrize("budget", [-5, -1, 2.5, 0.5, math.inf, math.nan])
+def test_bad_budget_is_invalid(budget):
+    sampler = ProductSampler([0.5, 0.5])
+    with pytest.raises(InvalidParameter, match="max_total_samples"):
+        estimate_tv(sampler, sampler, 0.3, 0.2, max_total_samples=budget)
 
 
 @pytest.mark.parametrize(

@@ -356,6 +356,27 @@ for listing in (lambda: exact_distribution(p, "uniform", cap=11), lambda: enumer
     )
 
 
+def test_a_level_past_the_row_cap_is_counted_before_it_is_listed():
+    # the 63-antichain's step 4 has 14.3 M partial extensions: the count
+    # raises before that level's row and element lists exist
+    _run_python(
+        """
+import tracemalloc
+from subtv import Poset, enumerate_extensions
+from subtv.errors import TooLarge
+tracemalloc.start()
+try:
+    enumerate_extensions(Poset.from_relations(63, []))
+except TooLarge:
+    peak = tracemalloc.get_traced_memory()[1]
+else:
+    raise AssertionError("listed 63! extensions")
+assert peak < 200 << 20, peak
+""",
+        max_bytes=1 << 30,
+    )
+
+
 def test_oversized_table_falls_back_to_the_walk():
     # the 10-antichain is within ENUM_CAP, but its 10! extensions pass
     # ROW_CAP (a 183 MB table), so both samplers draw from the walk; on an

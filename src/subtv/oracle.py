@@ -13,7 +13,9 @@ from typing import Optional, Sequence
 
 from .core import Bits, Condition
 from .errors import DimensionMismatch, TooLarge, ZeroMassPrefix
-from .posets import ENUM_CAP, Poset, check_weights, extension_rows
+from .posets import Poset, check_weights, extension_rows
+
+EXACT_CAP = 10  # elements listed by default: it bounds the Fraction products, not a table
 
 
 @dataclass(frozen=True)
@@ -44,15 +46,15 @@ def exact_distribution(
     p: Poset,
     kind: str,
     weights: Optional[Sequence] = None,
-    cap: int = ENUM_CAP,
+    cap: int = EXACT_CAP,
     free_map=None,
 ) -> ExactDistribution:
     """The exact output distribution of a synthetic extension sampler.
 
     The extensions and their free bits come from posets.extension_rows,
     as the samplers' tables do; the law is computed here, in Fractions.
-    TooLarge when p has more than cap elements (ENUM_CAP unless raised),
-    and, under any cap, from extension_rows past posets.ROW_CAP extensions.
+    TooLarge when p has more than cap elements (EXACT_CAP unless raised),
+    and, under any cap, from extension_rows past posets.LISTING_BYTES.
     kind 'uniform': mass 1/|extensions| per extension.  kind 'biased': the
     product of greedy step ratios per extension, for per-element weights
     that the biased sampler accepts (posets.check_weights, ValueError

@@ -9,8 +9,8 @@ order is grown by one routine that adds relations one at a time to a
 closed matrix; a relation whose reverse already holds is a cycle, and the
 error it raises (CycleError, ContradictionError, InvalidEncoding) names it.
 One level-by-level expansion, extension_rows, lists an order's linear
-extensions for the samplers' support tables, enumerate_extensions and the
-exact oracle alike, and it alone bounds such a listing at ROW_CAP rows.
+extensions for the support tables, enumerate_extensions and the exact
+oracle; it alone bounds a listing, at LISTING_BYTES: past it, samplers walk.
 
 Elements are 0-based internally; instance documents and reported pair
 labels are 1-based.
@@ -29,9 +29,16 @@ import numpy as np
 from .core import Bits, Condition, ConditionalSampler, KnownDistribution, uniform_fallback_many
 from .errors import ContradictionError, CycleError, InvalidEncoding, ParseError, TooLarge
 
-ENUM_CAP = 10
-# Rows of one listing of linear extensions (see extension_rows).
-ROW_CAP = 1 << 19
+
+def _row_bytes(k: int, n: int) -> int:
+    # a step's rows x k minimal test (int64 and bool) and two float64 arrays
+    # (weights: both samplers pay them), each row's positions, mask,
+    # probability, row and element index; then the table's n bits and float
+    return 26 * k + 32 + n + 8
+
+
+# Bytes of one listing (extension_rows): 2^19 rows at k = 10 and n = 45, 181 MB
+LISTING_BYTES = (1 << 19) * _row_bytes(10, 45)
 COUNT_CAP = 20
 # The walk's remaining-element sets are int64 masks.
 ELEMENT_CAP = 63
@@ -234,20 +241,21 @@ def extension_rows(
     probability of row r under the weights, 1 without them.  Each step
     extends every row by each of its minimal elements, and row-major
     nonzero keeps the rows in lexicographic order.  Every row has a minimal
-    element, so no level has fewer rows than the one before: a level of
-    more than ROW_CAP rows raises TooLarge before it is built, which bounds
-    the whole listing.
+    element, so no level has fewer rows than the one before: a level whose
+    rows at _row_bytes each pass LISTING_BYTES raises TooLarge before it is
+    built, which bounds the whole listing and its transients.
     """
     k, below = p.k, p.below_masks
     pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    row_bytes = _row_bytes(k, len(pairs))
     bit = np.left_shift(1, np.arange(k, dtype=np.int64))
     mask = np.array([(1 << k) - 1])
     pos = np.zeros((1, k), dtype=np.int8)
     prob = np.ones(1)
     for step in range(k):
         minimal = (mask[:, None] & (bit | below)) == bit
-        if (count := np.count_nonzero(minimal)) > ROW_CAP:
-            raise TooLarge(f"over {ROW_CAP} extensions: {count} partial ones at step {step + 1}")
+        if (count := np.count_nonzero(minimal)) * row_bytes > LISTING_BYTES:
+            raise TooLarge(f"over {LISTING_BYTES} bytes: {count} rows at step {step + 1}")
         rows, es = np.nonzero(minimal)
         mask, pos, prob = mask[rows] ^ bit[es], pos[rows], prob[rows]
         pos[np.arange(len(rows)), es] = step
@@ -262,7 +270,7 @@ def extension_rows(
 def enumerate_extensions(p: Poset) -> list[tuple[int, ...]]:
     """All linear extensions, each the tuple of elements in its order, sorted.
 
-    extension_rows' listing, so TooLarge past ROW_CAP extensions.
+    extension_rows' listing, so TooLarge past LISTING_BYTES.
     """
     return list(map(tuple, extension_rows(p, ())[0].argsort(axis=1).tolist()))
 
@@ -366,10 +374,7 @@ _CACHE_BYTES = 64 << 20
 class _Support:
     """What the draws under one conditioned order need.
 
-    Every condition that implies the same order shares one support, so
-    its arrays and value guides are built and counted once.
-
-    Up to enum_cap elements and ROW_CAP extensions, the exact support
+    When extension_rows' listing fits LISTING_BYTES, the exact support
     table, one row per extension in extension_rows' order: `bits`, each
     free bit's values over the rows (n x rows, so one coordinate's values
     are contiguous), `cum`, the rows' cumulative probabilities, and
@@ -424,23 +429,18 @@ class _ExtensionSampler(ConditionalSampler):
     contradictory condition means a zero-mass subcube and falls back to
     uniform bits on the free coordinates.
 
-    Every draw, single or batched, takes one of two paths.  When the
-    conditioned order has at most enum_cap elements and at most ROW_CAP
-    extensions, it is a lookup in an exact support table per conditioned
-    order, built level by level: each step expands every partial extension
-    by each of its minimal elements and multiplies its probability by the
-    walk's for that element.  A draw takes one uniform u and the row that
-    a binary search of u in cum picks; draw_coordinate reads that row's bit
-    from the coordinate's value guide, searching only for the u whose
-    bucket holds rows that disagree.  Otherwise it is the batched walk: all
-    rows of a call advance together, one element per step, each picking
-    among its current minimal elements by weight (biased) or by the number
-    of extensions that start with each (uniform, counted over the up-sets
-    the walk can reach).  An order of more extensions than ROW_CAP (a
-    10-antichain's 10! = 3.6 M) is found by the expansion itself, which
-    stops at its first level past the cap.  Both paths give the same law,
-    so enum_cap and ROW_CAP bound the memory of a table (one row per
-    extension), not the draw's speed.
+    Every draw, single or batched, takes one of two paths, and one rule
+    picks it: a table whenever extension_rows lists the conditioned order
+    within LISTING_BYTES, the walk when it raises TooLarge.  The table path
+    looks up an exact support table per conditioned order: a draw takes
+    one uniform u and the row that a binary search of u in cum picks;
+    draw_coordinate reads that row's bit from the coordinate's value guide,
+    searching only for the u whose bucket holds rows that disagree.  The
+    batched walk advances all rows of a call together, one element per
+    step, each picking among its current minimal elements by weight
+    (biased) or by the number of extensions that start with each (uniform,
+    counted over the up-sets the walk can reach).  Both paths give the same
+    law, so the bound limits a table build's memory, not the draw's speed.
     A support depends only on the conditioned order, so each sampler keeps
     one support per order in an LRU cache of at most _CACHE_ORDERS
     conditioned orders and _CACHE_BYTES bytes of arrays, value guides
@@ -454,13 +454,12 @@ class _ExtensionSampler(ConditionalSampler):
 
     _float_weights: Optional[tuple[float, ...]] = None  # walk weights; None is uniform
 
-    def __init__(self, poset: Poset, enum_cap: int = ENUM_CAP):
+    def __init__(self, poset: Poset):
         if poset.k > ELEMENT_CAP:
             raise TooLarge(f"sampling needs k <= {ELEMENT_CAP}, got {poset.k}")
         self.poset = poset
         self.free_map = poset.free_map
         self.n = self.free_map.n
-        self.enum_cap = enum_cap
         self._pairs = np.array(self.free_map.pairs, dtype=np.intp).reshape(-1, 2)
         # Least recent first, keyed by the conditioned order's matrix bytes.
         self._cache: dict[bytes, _Support] = {}
@@ -525,18 +524,15 @@ class _ExtensionSampler(ConditionalSampler):
         return pc, key
 
     def _build_support(self, pc: Poset) -> _Support:
-        """The support of a conditioned poset: a table when one fits, else the walk's."""
+        """The support of a conditioned poset: a table when its listing fits, else the walk's."""
         w = self._float_weights
-        if pc.k <= self.enum_cap:
-            try:
-                _, bits, prob = extension_rows(pc, self._pairs, w)
-            except TooLarge:  # over ROW_CAP extensions
-                pass
-            else:
-                cum = np.cumsum(prob / prob.sum())
-                cum[-1] = 1.0
-                return _Support(bits=bits, cum=cum)
-        return _Support(below=pc.below_masks, upsets=None if w else _upset_counts(pc))
+        try:
+            _, bits, prob = extension_rows(pc, self._pairs, w)
+        except TooLarge:  # past LISTING_BYTES
+            return _Support(below=pc.below_masks, upsets=None if w else _upset_counts(pc))
+        cum = np.cumsum(prob / prob.sum())
+        cum[-1] = 1.0
+        return _Support(bits=bits, cum=cum)
 
     def _walk(self, support: _Support, m: int, rng: np.random.Generator):
         """Yield (first row, positions) for m walks, _WALK_CHUNK walks at a time.
@@ -634,8 +630,8 @@ class UniformExtensionSampler(_ExtensionSampler, KnownDistribution):
     known distribution: every valid encoding has mass 1/|extensions|.
     """
 
-    def __init__(self, poset: Poset, enum_cap: int = ENUM_CAP):
-        super().__init__(poset, enum_cap)
+    def __init__(self, poset: Poset):
+        super().__init__(poset)
         self.total = count_extensions(poset)
 
     def mass(self, x: Bits) -> float:
@@ -664,8 +660,9 @@ class BiasedExtensionSampler(_ExtensionSampler):
         self._float_weights = check_weights(poset.k, weights)
 
 
-def uniform_extension_sampler(p: Poset, enum_cap: int = ENUM_CAP) -> UniformExtensionSampler:
-    return UniformExtensionSampler(p, enum_cap)
+def uniform_extension_sampler(p: Poset, enum_cap: object = None) -> UniformExtensionSampler:
+    """enum_cap is ignored; it goes once the benchmark stops passing it (ROADMAP item 1)."""
+    return UniformExtensionSampler(p)
 
 
 def biased_extension_sampler(p: Poset, weights: Sequence) -> BiasedExtensionSampler:

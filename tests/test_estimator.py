@@ -27,6 +27,7 @@ from subtv import (
 )
 from subtv.errors import BudgetExhausted, DimensionMismatch, InvalidParameter
 from subtv.instances import generate_instance, instance_to_json
+from subtv import posets
 
 
 def test_derive_params_worked_example():
@@ -118,15 +119,17 @@ def test_estimate_tv_deterministic(figure1):
     assert d != a
 
 
-def test_estimate_tv_on_the_walk_path():
-    # k = 11 > ENUM_CAP, so every draw is the batched walk
+def test_estimate_tv_on_the_walk_path(monkeypatch):
+    # k = 11, 60 extensions; a listing bound of 0 sends every draw to the
+    # batched walk, and the oracle, which lists through it, runs first
     poset = parse_poset(instance_to_json(generate_instance("avgdeg", "3", 11, 0)))
-    unknown = biased_extension_sampler(poset, [1] * poset.k)
-    known = uniform_extension_sampler(poset)
     exact = exact_tv(
         exact_distribution(poset, "biased", [1] * poset.k, cap=poset.k),
         exact_distribution(poset, "uniform", cap=poset.k),
     )
+    monkeypatch.setattr(posets, "LISTING_BYTES", 0)
+    unknown = biased_extension_sampler(poset, [1] * poset.k)
+    known = uniform_extension_sampler(poset)
     one = estimate_tv(unknown, known, zeta=0.95, delta=0.5, seed=3)
     assert abs(one.dtv_estimate - float(exact)) <= 0.95
 
@@ -306,20 +309,30 @@ def test_bad_budget_is_invalid(budget):
         estimate_tv(sampler, sampler, 0.3, 0.2, max_total_samples=budget)
 
 
+_GOLDEN = [
+    # k = 10: table draws, on a table of thousands of rows
+    ("1", 10, 0.5182980403089379, 4740475,
+     "0ae39b89ecff165b430f3d5bdf9c4fb588890377c56368883c3f7a9ee2193620", False),
+    # k = 14, 36 extensions: table draws
+    ("4", 14, 0.1147016634388092, 173066,
+     "fc85f17f5b9b2ecdd82b91b4562133969b41a7b3612a6c0c4a28d594a0880a3f", False),
+    # the same at a listing bound of 0: the batched walk, whose draws take k
+    # uniforms where a table's take one, so the same law gives other terms
+    ("4", 14, 0.15752948320853633, 172964,
+     "d086e0ca58cb30b9aaa690b93a38596321184471b6bf2fca611ddc314f91199a", True),
+]
+
+
 @pytest.mark.parametrize(
-    "param,size,dtv,samples,terms_sha256",
-    [
-        # k = 10: table draws, on a table of thousands of rows
-        ("1", 10, 0.5182980403089379, 4740475,
-         "0ae39b89ecff165b430f3d5bdf9c4fb588890377c56368883c3f7a9ee2193620"),
-        # k = 14 > ENUM_CAP: the batched walk
-        ("4", 14, 0.15752948320853633, 172964,
-         "d086e0ca58cb30b9aaa690b93a38596321184471b6bf2fca611ddc314f91199a"),
-    ],
+    "param,size,dtv,samples,terms_sha256,walk",
+    _GOLDEN,
+    ids=["-".join(map(str, case[:-1])) for case in _GOLDEN],  # the pins name a case
 )
-def test_golden_reports(param, size, dtv, samples, terms_sha256):
+def test_golden_reports(param, size, dtv, samples, terms_sha256, walk, monkeypatch):
     # a report is a pure function of (instance, samplers, zeta, delta, seed):
     # a faster draw must return every draw's bit unchanged
+    if walk:
+        monkeypatch.setattr(posets, "LISTING_BYTES", 0)
     p = parse_poset(instance_to_json(generate_instance("avgdeg", param, size, 0)))
     weights = ((1, 2, 3, 4, 5, 6, 7) * 2)[:size]
     sampler = biased_extension_sampler(p, weights)

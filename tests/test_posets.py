@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import os
@@ -46,7 +47,7 @@ from subtv.errors import (
 from subtv.instances import generate_instance, instance_to_json
 from subtv.oracle import conditioned
 from subtv import posets
-from subtv.posets import ENUM_CAP, _WALK_CHUNK, _upset_counts, extension_rows
+from subtv.posets import LISTING_BYTES, _WALK_CHUNK, _upset_counts, extension_rows
 
 from conftest import small_posets
 
@@ -309,8 +310,18 @@ def test_upset_counts_closed_forms():
     assert count_extensions(p) == 45_886_782_960
 
 
+@contextlib.contextmanager
+def _listing_bound(monkeypatch, nbytes):
+    """extension_rows lists within nbytes while the block runs: at 0 it
+    lists nothing, so the samplers draw from the walk, and the oracle,
+    which lists through the same bound, must run outside the block."""
+    with monkeypatch.context() as patch:
+        patch.setattr(posets, "LISTING_BYTES", nbytes)
+        yield
+
+
 def test_caps():
-    # the listings' row bound is checked in test_listings_stop_at_the_row_cap
+    # the listings' byte bound is checked in test_listings_stop_at_the_row_cap
     with pytest.raises(TooLarge):
         count_extensions(Poset.from_relations(21, []))
 
@@ -332,8 +343,8 @@ def _run_python(code: str, max_bytes: int | None = None) -> None:
 
 def test_listings_stop_at_the_row_cap():
     # the 11-antichain is within the oracle's cap=11 and has no element cap
-    # in enumerate_extensions, but its 11! extensions pass ROW_CAP: the
-    # expansion stops at its first level past it, at a bounded peak
+    # in enumerate_extensions, but its 11! extensions pass LISTING_BYTES:
+    # the expansion stops at its first level past it, at a bounded peak
     _run_python(
         """
 import tracemalloc
@@ -377,9 +388,59 @@ assert peak < 200 << 20, peak
     )
 
 
+def test_listings_stay_under_the_byte_bound():
+    # 19 stacked pairs (k = 38, each pair before the next) have 2^19
+    # extensions, which a bound of 2^19 rows listed at a 226 MB traced peak
+    # (384 MB with weights); LISTING_BYTES stops their listing, for the
+    # oracle, enumerate_extensions and the biased sampler, below the bound
+    _run_python(
+        """
+import tracemalloc
+from subtv import FULL_CUBE, Poset, biased_extension_sampler, enumerate_extensions
+from subtv import exact_distribution, rng_stream
+from subtv.errors import TooLarge
+from subtv.posets import LISTING_BYTES
+pairs = [(2 * i + a, 2 * i + 2 + b) for i in range(18) for a in (1, 2) for b in (1, 2)]
+p = Poset.from_relations(38, pairs)
+for listing in (lambda: exact_distribution(p, "uniform", cap=38), lambda: enumerate_extensions(p)):
+    tracemalloc.start()
+    try:
+        listing()
+    except TooLarge:
+        peak = tracemalloc.get_traced_memory()[1]
+    else:
+        raise AssertionError("listed 2^19 extensions of 38 elements")
+    finally:
+        tracemalloc.stop()
+    assert peak < LISTING_BYTES, peak
+tracemalloc.start()
+sampler = biased_extension_sampler(p, [1] * 38)
+sampler.draw_many(FULL_CUBE, 10, rng_stream(1))
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+assert sampler._support(FULL_CUBE).cum is None
+assert peak < LISTING_BYTES, peak
+""",
+        max_bytes=1 << 30,
+    )
+
+
+def test_a_table_whenever_the_listing_fits():
+    # one rule picks the path: avgdeg_4_014_0 (k = 14, 36 extensions) gets a
+    # table, and so does the order of three 2-chains among ten elements:
+    # 453,600 rows, as any listing of at most 10 elements and 2^19 rows fits
+    k14 = parse_poset(instance_to_json(generate_instance("avgdeg", "4", 14, 0)))
+    chains = Poset.from_relations(10, [(1, 2), (3, 4), (5, 6)])
+    for p in (k14, chains):
+        for sampler in (uniform_extension_sampler(p), biased_extension_sampler(p, [1] * p.k)):
+            assert len(sampler._support(FULL_CUBE).cum) == count_extensions(p)
+    assert count_extensions(chains) == 453_600 and chains.free_map.n == 42
+    assert 2**19 * posets._row_bytes(10, 45) == LISTING_BYTES
+
+
 def test_oversized_table_falls_back_to_the_walk():
-    # the 10-antichain is within ENUM_CAP, but its 10! extensions pass
-    # ROW_CAP (a 183 MB table), so both samplers draw from the walk; on an
+    # the 10-antichain's 10! extensions pass LISTING_BYTES (as a table they
+    # would take 183 MB), so both samplers draw from the walk; on an
     # antichain both laws are uniform, so every pair bit is a fair coin
     _run_python(
         """
@@ -408,7 +469,7 @@ for make in (uniform_extension_sampler, lambda p: biased_extension_sampler(p, [1
 
 
 def test_enumerate_extensions_has_no_element_cap():
-    # k = 14 > ENUM_CAP, but 36 extensions: only the row bound limits a listing
+    # k = 14, 36 extensions: only the byte bound limits a listing
     p = parse_poset(instance_to_json(generate_instance("avgdeg", "4", 14, 0)))
     orders = enumerate_extensions(p)
     assert len(set(orders)) == count_extensions(p) == 36 and orders == sorted(orders)
@@ -496,9 +557,10 @@ def test_uniform_sampler_frequencies(figure1):
         assert abs(counts[key] / 30_000 - 1 / 3) <= 0.02
 
 
-def test_uniform_sampler_sequential_path_matches(figure1):
-    # single draws through the walk (enum_cap=0 turns the tables off)
-    sampler = uniform_extension_sampler(figure1, enum_cap=0)
+def test_uniform_sampler_sequential_path_matches(figure1, monkeypatch):
+    # single draws through the walk (a listing bound of 0 turns the tables off)
+    monkeypatch.setattr(posets, "LISTING_BYTES", 0)
+    sampler = uniform_extension_sampler(figure1)
     rng = rng_stream(22)
     counts = Counter(bits_to_str(sampler.draw(FULL_CUBE, rng)) for _ in range(9000))
     for key in ("11", "10", "01"):
@@ -519,7 +581,7 @@ def test_uniform_sampler_mass(figure1):
 
 
 @pytest.mark.parametrize("k", [4, 11], ids=["table", "walk"])
-def test_biased_weights_must_be_positive_finite_floats(k):
+def test_biased_weights_must_be_positive_finite_floats(k, monkeypatch):
     # accepted, nan and inf would draw one wrong extension on the walk and
     # fail inside the table's value guide; 1/10^400 is positive but its
     # float is 0, and 10^400 overflows its float; finite weights whose
@@ -534,8 +596,10 @@ def test_biased_weights_must_be_positive_finite_floats(k):
             biased_extension_sampler(p, weights)
         with pytest.raises(ValueError, match="finite"):
             exact_distribution(p, "biased", weights)
+    if k == 11:
+        monkeypatch.setattr(posets, "LISTING_BYTES", 0)  # the walk
     sampler = biased_extension_sampler(p, [1] * (k - 1) + [Fraction(1, 10**300)])
-    assert (sampler._support(FULL_CUBE).cum is not None) == (k <= ENUM_CAP)
+    assert (sampler._support(FULL_CUBE).cum is not None) == (k == 4)
     draws = sampler.draw_many(FULL_CUBE, 100, rng_stream(5))
     # the tiny-weight element comes last in all but about 1e-300 of draws
     last = [(i, k - 1) for i in range(k - 1)]
@@ -616,11 +680,11 @@ def test_conditioned_tables_match_oracle(figure1):
     assert biased_extension_sampler(p, (1, 2, 4, 3))._support(cond) is None
 
 
-def test_biased_single_draw_walk_matches_oracle(figure1):
+def test_biased_single_draw_walk_matches_oracle(figure1, monkeypatch):
     weights = (3, 1, 5, 2)
-    sampler = biased_extension_sampler(figure1, weights)
-    sampler.enum_cap = 0  # single draws through the walk
     dist = exact_distribution(figure1, "biased", weights)
+    monkeypatch.setattr(posets, "LISTING_BYTES", 0)  # single draws through the walk
+    sampler = biased_extension_sampler(figure1, weights)
     rng = rng_stream(31)
     draws = 20_000
     counts = Counter(sampler.draw(FULL_CUBE, rng) for _ in range(draws))
@@ -646,11 +710,11 @@ def _assert_matches(draws, exact):
 
 
 def _avgdeg_3_011_0():
-    # k = 11 > ENUM_CAP, 60 extensions; the oracle enumerates it with cap=11
+    # k = 11, 60 extensions; the oracle enumerates it with cap=11
     return parse_poset(instance_to_json(generate_instance("avgdeg", "3", 11, 0)))
 
 
-def test_walk_matches_oracle_on_prefix_conditions(figure1):
+def test_walk_matches_oracle_on_prefix_conditions(figure1, monkeypatch):
     # every prefix-conditioned walk, for both samplers, against the exact
     # distribution of the conditioned poset (as in the table test above)
     weights = (1, 2, 4, 3, 5, 7, 1, 2, 4, 3, 5)
@@ -665,56 +729,60 @@ def test_walk_matches_oracle_on_prefix_conditions(figure1):
             },
             key=lambda c: c.fixed,
         )
-        biased = biased_extension_sampler(p, w)
-        biased.enum_cap = 0
-        for kind, sampler in (("uniform", uniform_extension_sampler(p, enum_cap=0)), ("biased", biased)):
-            for cond in conds:
-                exact = exact_distribution(
-                    apply_condition(p, cond), kind, w, cap=p.k, free_map=p.free_map
-                ).support
-                _assert_matches(sampler.draw_many(cond, 2000, rng), exact)
+        exact = {
+            (kind, cond): exact_distribution(
+                apply_condition(p, cond), kind, w, cap=p.k, free_map=p.free_map
+            ).support
+            for kind in ("uniform", "biased")
+            for cond in conds
+        }
+        with _listing_bound(monkeypatch, 0):
+            samplers = (uniform_extension_sampler(p), biased_extension_sampler(p, w))
+            for kind, sampler in zip(("uniform", "biased"), samplers):
+                for cond in conds:
+                    _assert_matches(sampler.draw_many(cond, 2000, rng), exact[kind, cond])
 
 
-def _assert_draws_match_oracle(enum_cap):
-    # on avgdeg_3_011_0, k = 11: a table when enum_cap >= 11, the walk below;
+def _assert_draws_match_oracle(monkeypatch, nbytes):
+    # on avgdeg_3_011_0, k = 11: a table at the default bound, the walk at 0;
     # m spans several walk chunks and ends inside one
     p = _avgdeg_3_011_0()
     weights = (1, 2, 4, 3, 5, 7, 1, 2, 4, 3, 5)
     m = 10 * _WALK_CHUNK + 7
-    biased = biased_extension_sampler(p, weights)
-    biased.enum_cap = enum_cap
-    for kind, sampler in (
-        ("uniform", uniform_extension_sampler(p, enum_cap)),
-        ("biased", biased),
-    ):
-        assert (sampler._support(FULL_CUBE).cum is not None) == (enum_cap >= p.k)
-        exact = exact_distribution(p, kind, weights, cap=11).support
-        rng = rng_stream(42)
-        draws = sampler.draw_many(FULL_CUBE, m, rng)
-        assert draws.shape == (m, p.free_map.n) and draws.dtype == np.uint8
-        assert draws.flags.c_contiguous
-        _assert_matches(draws, exact)
-        if enum_cap >= p.k:  # a table draw takes one uniform per draw
-            reference = rng_stream(42)
-            reference.random(m)
-            assert rng.bit_generator.state == reference.bit_generator.state
-        # draw_coordinate is the projection of draw_many on the same stream,
-        # and leaves the stream where draw_many does
-        for coord in range(p.free_map.n):
-            rng_coord = rng_stream(42)
-            column = sampler.draw_coordinate(FULL_CUBE, coord, m, rng_coord)
-            assert column.dtype == np.uint8
-            assert np.array_equal(column, draws[:, coord])
-            assert rng_coord.bit_generator.state == rng.bit_generator.state
-        _assert_cache_bytes(sampler)
+    exacts = [
+        exact_distribution(p, kind, weights, cap=11).support
+        for kind in ("uniform", "biased")
+    ]
+    with _listing_bound(monkeypatch, nbytes):
+        samplers = (uniform_extension_sampler(p), biased_extension_sampler(p, weights))
+        for sampler, exact in zip(samplers, exacts):
+            assert (sampler._support(FULL_CUBE).cum is not None) == (nbytes > 0)
+            rng = rng_stream(42)
+            draws = sampler.draw_many(FULL_CUBE, m, rng)
+            assert draws.shape == (m, p.free_map.n) and draws.dtype == np.uint8
+            assert draws.flags.c_contiguous
+            _assert_matches(draws, exact)
+            if nbytes > 0:  # a table draw takes one uniform per draw
+                reference = rng_stream(42)
+                reference.random(m)
+                assert rng.bit_generator.state == reference.bit_generator.state
+            # draw_coordinate is the projection of draw_many on the same
+            # stream, and leaves the stream where draw_many does
+            for coord in range(p.free_map.n):
+                rng_coord = rng_stream(42)
+                column = sampler.draw_coordinate(FULL_CUBE, coord, m, rng_coord)
+                assert column.dtype == np.uint8
+                assert np.array_equal(column, draws[:, coord])
+                assert rng_coord.bit_generator.state == rng.bit_generator.state
+            _assert_cache_bytes(sampler)
 
 
-def test_walk_matches_oracle_above_enum_cap():
-    _assert_draws_match_oracle(ENUM_CAP)
+def test_walk_draws_match_oracle(monkeypatch):
+    _assert_draws_match_oracle(monkeypatch, 0)
 
 
-def test_table_draws_match_oracle():
-    _assert_draws_match_oracle(11)
+def test_table_draws_match_oracle(monkeypatch):
+    _assert_draws_match_oracle(monkeypatch, LISTING_BYTES)
 
 
 class _FixedUniform:
@@ -728,14 +796,14 @@ class _FixedUniform:
 
 
 @pytest.mark.parametrize("u", [1 - 2**-53, 1.0])
-def test_walk_top_uniform_picks_last_minimal_element(u):
+def test_walk_top_uniform_picks_last_minimal_element(u, monkeypatch):
     # u = 1 - 2**-53 is numpy's largest uniform; u = 1.0 leaves no cumulative
     # weight above u * total, which the rounding guard handles.  Either way
     # each step takes the last minimal element.  In labels: 4 (the least
     # element), 2 of {1, 2}, 1, then 3; element 4 is never taken again.
     p = Poset.from_relations(4, [(4, 1), (4, 2), (1, 3)])
+    monkeypatch.setattr(posets, "LISTING_BYTES", 0)
     sampler = biased_extension_sampler(p, (3, 1, 5, 2))
-    sampler.enum_cap = 0
     ((_, pos),) = sampler._walk(sampler._support(FULL_CUBE), 5, _FixedUniform(u))
     assert (pos.T == [2, 1, 3, 0]).all()  # the step of each element
     draws = sampler.draw_many(FULL_CUBE, 5, _FixedUniform(u))
@@ -836,10 +904,13 @@ def _assert_cache_bytes(sampler):
     assert sum(sizes) <= posets._CACHE_BYTES or len(sizes) == 1
 
 
-def test_biased_cache_is_not_sized_by_count_tables():
+def test_biased_cache_is_not_sized_by_count_tables(monkeypatch):
     # the cache is bounded in bytes, not by k: avgdeg_1_020_0's sparse count
     # tables are small, so the uniform sampler keeps 128 conditions at k = 20,
-    # as the biased sampler does, whose walk keeps k masks per condition
+    # as the biased sampler does, whose walk keeps k masks per condition;
+    # these orders' listings pass the bound, and at a bound of 0 they walk
+    # without paying a failed expansion each
+    monkeypatch.setattr(posets, "LISTING_BYTES", 0)
     p = parse_poset(instance_to_json(generate_instance("avgdeg", "1", 20, 0)))
     conds = [make_condition([(i, b)], p.free_map.n) for i in range(65) for b in (0, 1)]
     for sampler in (uniform_extension_sampler(p), biased_extension_sampler(p, (1,) * 20)):
@@ -863,7 +934,7 @@ def _antichain5_prefix_conditions():
     return p, conds
 
 
-def test_support_cache_is_bounded():
+def test_support_cache_is_bounded(monkeypatch):
     # 300 distinct conditions on the 5-antichain hold fewer distinct orders:
     # each order is built once, the cache keeps the 128 used last, and the
     # first, the full cube's, is evicted, rebuilt on its next draw, and
@@ -877,19 +948,22 @@ def test_support_cache_is_bounded():
     recent = list(dict.fromkeys(reversed(keys)))[:128][::-1]  # least recent first
     assert _order_key(p, FULL_CUBE) not in recent
     weights = (1, 2, 4, 3, 5)
-    walking = biased_extension_sampler(p, weights)
-    walking.enum_cap = 0
     rng = rng_stream(43)
-    for kind, sampler in (("uniform", uniform_extension_sampler(p)), ("biased", walking)):
-        builds = _count_builds(sampler)
-        for cond in conds:
-            sampler.draw_many(cond, 1, rng)
-        assert builds == [orders] and len(sampler._cache) == 128
-        assert list(sampler._cache) == recent
-        _assert_cache_bytes(sampler)
+    # the uniform sampler on tables, the biased one on the walk
+    for kind, sampler, nbytes in (
+        ("uniform", uniform_extension_sampler(p), LISTING_BYTES),
+        ("biased", biased_extension_sampler(p, weights), 0),
+    ):
         exact = exact_distribution(p, kind, weights).support
-        _assert_matches(sampler.draw_many(FULL_CUBE, 3000, rng), exact)
-        assert builds == [orders + 1]
+        with _listing_bound(monkeypatch, nbytes):
+            builds = _count_builds(sampler)
+            for cond in conds:
+                sampler.draw_many(cond, 1, rng)
+            assert builds == [orders] and len(sampler._cache) == 128
+            assert list(sampler._cache) == recent
+            _assert_cache_bytes(sampler)
+            _assert_matches(sampler.draw_many(FULL_CUBE, 3000, rng), exact)
+            assert builds == [orders + 1]
 
 
 def test_support_cache_is_bounded_in_bytes(monkeypatch):
@@ -931,14 +1005,15 @@ def test_support_cache_is_bounded_in_bytes(monkeypatch):
     assert list(walking._cache) == [_order_key(p, cond) for cond in conds[2:]]
 
 
-def _order_samplers(p):
-    """Uniform and biased samplers of p, on the table path and on the walk."""
-    out = []
-    for enum_cap in (ENUM_CAP, 0):
-        biased = biased_extension_sampler(p, (1, 2, 4, 3, 5, 7, 6, 8)[: p.k])
-        biased.enum_cap = enum_cap
-        out += [uniform_extension_sampler(p, enum_cap), biased]
-    return out
+def _order_samplers(p, monkeypatch):
+    """Uniform and biased samplers of p, on the table path, then on the walk:
+    a loop over them runs its body for the last two at a listing bound of 0."""
+    weights = (1, 2, 4, 3, 5, 7, 6, 8)[: p.k]
+    for nbytes in (LISTING_BYTES, 0):
+        monkeypatch.setattr(posets, "LISTING_BYTES", nbytes)
+        yield uniform_extension_sampler(p)
+        yield biased_extension_sampler(p, weights)
+    monkeypatch.setattr(posets, "LISTING_BYTES", LISTING_BYTES)
 
 
 def test_implied_bit_shares_the_parent_support(monkeypatch):
@@ -952,7 +1027,7 @@ def test_implied_bit_shares_the_parent_support(monkeypatch):
     assert _order_key(p, parent) == _order_key(p, child)
     roots = _root_conditions(monkeypatch)
     rng = rng_stream(47)
-    for sampler in _order_samplers(p):
+    for sampler in _order_samplers(p, monkeypatch):
         support = sampler._support(parent)
         order = sampler._last[1]
         builds = _count_builds(sampler)
@@ -982,7 +1057,7 @@ def test_parent_path_matches_the_root(monkeypatch):
             for x in points
             for cond in (prefix_condition(x, i) for i in range(p.free_map.n + 1))
         ]
-        for sampler in _order_samplers(p):
+        for sampler in _order_samplers(p, monkeypatch):
             checked = {}  # key -> the last support checked for it
             roots.clear()
             for cond, pc, key in prefixes:
@@ -1008,7 +1083,7 @@ def test_condition_after_another_applies_the_root(monkeypatch):
     implied, contradictory = (make_condition([(0, 0), (1, 1), (3, b)], n) for b in (1, 0))
     grandchild = make_condition([(0, 0), (1, 1), (3, 0), (5, 1)], n)
     roots = _root_conditions(monkeypatch)
-    for sampler in _order_samplers(p):
+    for sampler in _order_samplers(p, monkeypatch):
         support = sampler._support(parent)
         sampler._support(other)
         keys = list(sampler._cache)
@@ -1030,9 +1105,12 @@ def test_condition_after_another_applies_the_root(monkeypatch):
 def test_estimate_applies_only_the_full_cube_from_the_root(monkeypatch):
     # the chain rule asks for each prefix right after its parent, so a
     # sampler that remembers only its last condition applies nothing but
-    # the full cube from the root, on a table (k = 10) and on the walk (k = 14)
+    # the full cube from the root, on a table (k = 10) and on the walk (k = 14
+    # at a listing bound of 0)
     roots = _root_conditions(monkeypatch)
     for instance, zeta in (("1", 10, 4), 0.9), (("4", 14, 0), 0.95):
+        if instance[1] == 14:
+            monkeypatch.setattr(posets, "LISTING_BYTES", 0)
         p = parse_poset(instance_to_json(generate_instance("avgdeg", *instance)))
         sampler = biased_extension_sampler(p, (1,) * p.k)
         report = estimate_tv(sampler, uniform_extension_sampler(p), zeta, 0.5, seed=3)
@@ -1116,14 +1194,13 @@ def test_no_numpy_ma_import():
     code = """
 import sys
 from subtv import FULL_CUBE, Poset, biased_extension_sampler, count_extensions, rng_stream
-from subtv import uniform_extension_sampler
+from subtv import posets, uniform_extension_sampler
 p = Poset.from_relations(6, [(1, 2), (3, 4)])
 rng = rng_stream(1)
-for enum_cap in (10, 0):
-    uniform_extension_sampler(p, enum_cap).draw_many(FULL_CUBE, 50, rng)
-    biased = biased_extension_sampler(p, (1, 2, 3, 4, 5, 6))
-    biased.enum_cap = enum_cap
-    biased.draw_many(FULL_CUBE, 50, rng)
+for nbytes in (posets.LISTING_BYTES, 0):
+    posets.LISTING_BYTES = nbytes
+    uniform_extension_sampler(p).draw_many(FULL_CUBE, 50, rng)
+    biased_extension_sampler(p, (1, 2, 3, 4, 5, 6)).draw_many(FULL_CUBE, 50, rng)
 assert count_extensions(p) == 180
 assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
 """

@@ -50,7 +50,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("instance", help="poset instance file (JSON)")
         p.add_argument("--sampler", required=True, help="uniform | biased-equal | biased:w1,w2,...")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--max-samples", type=int, default=None)
+        p.add_argument(
+            "--max-samples", type=int, default=None,
+            help="cap on the draws made, each marginal's unused batch tail included",
+        )
         p.add_argument("--format", choices=("table", "json"), default="table")
 
     est = sub.add_parser("estimate", help="estimate the TV distance from the uniform-extension distribution")

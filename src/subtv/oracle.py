@@ -7,15 +7,18 @@ error.  Reals appear only when callers compare against estimator output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .core import Bits, Condition
 from .errors import DimensionMismatch, TooLarge, ZeroMassPrefix
 from .posets import Poset, check_weights, extension_rows
 
-EXACT_CAP = 10  # elements listed by default: it bounds the Fraction products, not a table
+EXACT_CAP = 10  # elements listed by default; cap= raises it
 
 
 @dataclass(frozen=True)
@@ -27,19 +30,6 @@ class ExactDistribution:
 
     def mass(self, x: Bits) -> Fraction:
         return self.support.get(tuple(x), Fraction(0))
-
-
-def _greedy_step_products(
-    below: list[int], order: tuple[int, ...], weights: Sequence[Fraction]
-) -> Fraction:
-    mask = (1 << len(below)) - 1
-    prob = Fraction(1)
-    for e in order:
-        minimals = [m for m in range(len(below)) if mask >> m & 1 and not below[m] & mask]
-        if len(minimals) > 1:
-            prob *= weights[e] / sum(weights[m] for m in minimals)
-        mask ^= 1 << e
-    return prob
 
 
 def exact_distribution(
@@ -58,8 +48,13 @@ def exact_distribution(
     kind 'uniform': mass 1/|extensions| per extension.  kind 'biased': the
     product of greedy step ratios per extension, for per-element weights
     that the biased sampler accepts (posets.check_weights, ValueError
-    otherwise), taken exactly.  Pass the original poset's free_map to encode
-    the distribution of a conditioned poset on the full coordinate set.
+    otherwise), taken exactly.  With the weights as integers a[e] over
+    their least common denominator, that product is prod(a) / prod_t A(S_t),
+    A(S) being the sum of a over the minimal elements of the set S_t a row
+    leaves after step t: each row's denominator is an integer, multiplied
+    once a step by its set's total, computed once per distinct set.  Pass
+    the original poset's free_map to encode the distribution of a
+    conditioned poset on the full coordinate set.
     """
     if kind not in ("uniform", "biased"):
         raise ValueError(f"unknown sampler kind {kind!r}")
@@ -74,9 +69,18 @@ def exact_distribution(
         support = dict.fromkeys(keys, Fraction(1, len(keys)))
     else:
         ws = [Fraction(w) for w in weights]  # exact for floats too
-        below = p.below_masks.tolist()
-        orders = pos.argsort(axis=1).tolist()
-        support = {x: _greedy_step_products(below, o, ws) for x, o in zip(keys, orders)}
+        lcd = math.lcm(*(w.denominator for w in ws))
+        a = np.array([w.numerator * (lcd // w.denominator) for w in ws], dtype=object)
+        bit = np.left_shift(1, np.arange(p.k, dtype=np.int64))
+        mask = np.full(len(keys), (1 << p.k) - 1, dtype=np.int64)
+        den = np.ones(len(keys), dtype=object)
+        for es in pos.argsort(axis=1).T:  # each row's element at this step
+            sets, row_set = np.unique(mask, return_inverse=True)
+            minimal = (sets[:, None] & (bit | p.below_masks)) == bit
+            den *= np.where(minimal, a, 0).sum(axis=1)[row_set]  # Python ints
+            mask ^= bit[es]
+        num = math.prod(a.tolist())
+        support = {x: Fraction(num, d) for x, d in zip(keys, den.tolist())}
     assert sum(support.values()) == 1
     return ExactDistribution(support=support, n=fm.n)
 
@@ -93,8 +97,11 @@ def exact_tv(p_dist: ExactDistribution, q_dist: ExactDistribution) -> Fraction:
 
 def exact_marginal(dist: ExactDistribution, prefix: Condition, coord: int) -> Fraction:
     """Exact Pr[bit coord == 1 | prefix] under dist."""
-    kept = conditioned(dist, prefix).support
-    return sum((m for x, m in kept.items() if x[coord] == 1), Fraction(0))
+    kept = [(x, m) for x, m in dist.support.items() if prefix.agrees(x)]
+    total = sum((m for _, m in kept), Fraction(0))
+    if total == 0:
+        raise ZeroMassPrefix("prefix has zero mass under the distribution")
+    return sum((m for x, m in kept if x[coord] == 1), Fraction(0)) / total
 
 
 def conditioned(dist: ExactDistribution, prefix: Condition) -> ExactDistribution:

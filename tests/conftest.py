@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 from subtv import Poset
 
@@ -32,3 +33,18 @@ def small_posets():
         Poset.from_relations(6, [(1, 2), (3, 4), (5, 6)]),
         Poset.from_relations(8, [(1, 2), (2, 3), (4, 5), (6, 7), (1, 8)]),
     ]
+
+
+@st.composite
+def relation_lists(draw, max_k=6):
+    # any 1-based pairs at all: self-pairs and cycles included
+    k = draw(st.integers(1, max_k))
+    return k, draw(st.lists(st.tuples(st.integers(1, k), st.integers(1, k)), max_size=10))
+
+
+@st.composite
+def ranked_posets(draw, max_k=6):
+    # each pair oriented by the elements' ranks in a random permutation
+    k, pairs = draw(relation_lists(max_k))
+    rank = draw(st.permutations(range(k)))
+    return Poset.from_relations(k, [(a, b) if rank[a - 1] < rank[b - 1] else (b, a) for a, b in pairs])

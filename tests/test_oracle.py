@@ -1,7 +1,9 @@
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from subtv import (
     FULL_CUBE,
     ExactDistribution,
     Poset,
+    apply_condition,
     biased_extension_sampler,
     exact_distribution,
     exact_marginal,
@@ -20,6 +23,10 @@ from subtv import (
     uniform_extension_sampler,
 )
 from subtv.errors import DimensionMismatch, ZeroMassPrefix
+from subtv.instances import generate_instance, instance_to_json
+from subtv.posets import extension_rows, extension_to_bits, parse_poset
+
+from conftest import ranked_posets, small_posets
 
 
 def test_uniform_distribution_figure1(figure1):
@@ -133,3 +140,107 @@ def test_sampler_agreement_with_oracle(figure1):
             p = float(mass)
             sigma = math.sqrt(p * (1 - p) / m)
             assert abs(counts[x] / m - p) <= 3 * sigma
+
+
+# The biased law by brute force, independent of extension_rows: every order
+# that respects p, each with its product of greedy step ratios.
+
+WEIGHTINGS = {
+    "equal": lambda k: [1] * k,
+    "ramp": lambda k: list(range(1, k + 1)),
+    "float": lambda k: [1 / 3 + 0.1 * i for i in range(k)],
+}
+
+
+def _avgdeg(param, size, index):
+    return parse_poset(instance_to_json(generate_instance("avgdeg", param, size, index)))
+
+
+def linear_orders(p):
+    """The permutations of p's elements that place each one after its
+    predecessors: itertools.permutations filtered, pruned at the first
+    element placed too early so that k = 14 stays cheap."""
+    below = p.below_masks.tolist()
+
+    def extend(prefix, placed):
+        if len(prefix) == p.k:
+            yield prefix
+            return
+        for e in range(p.k):
+            if not placed >> e & 1 and not below[e] & ~placed:
+                yield from extend(prefix + (e,), placed | 1 << e)
+
+    return extend((), 0)
+
+
+def greedy_step_product(below, order, weights):
+    """The walk's probability of placing the elements in order: per step
+    with a choice, the placed element's weight over the minimal elements'."""
+    mask = (1 << len(below)) - 1
+    prob = Fraction(1)
+    for e in order:
+        minimals = [m for m in range(len(below)) if mask >> m & 1 and not below[m] & mask]
+        assert e in minimals
+        if len(minimals) > 1:
+            prob *= weights[e] / sum(weights[m] for m in minimals)
+        mask ^= 1 << e
+    return prob
+
+
+def greedy_law(p, weights, free_map=None):
+    fm = free_map if free_map is not None else p.free_map
+    below, ws = p.below_masks.tolist(), [Fraction(w) for w in weights]
+    return {extension_to_bits(o, fm): greedy_step_product(below, o, ws) for o in linear_orders(p)}
+
+
+@st.composite
+def conditioned_orders(draw):
+    """(p, pc): a poset and p conditioned on some free bits of one of its extensions."""
+    p = draw(st.one_of(st.sampled_from(small_posets()), ranked_posets()))
+    x = extension_to_bits(draw(st.sampled_from(list(linear_orders(p)))), p.free_map)
+    keep = draw(st.lists(st.booleans(), min_size=len(x), max_size=len(x)))
+    cond = make_condition([(i, b) for i, (b, kept) in enumerate(zip(x, keep)) if kept], len(x))
+    return p, apply_condition(p, cond)
+
+
+@pytest.mark.parametrize("p", small_posets(), ids=lambda p: f"k{p.k}")
+def test_linear_orders_are_the_filtered_permutations(p):
+    def respects(order):
+        rank = {e: t for t, e in enumerate(order)}
+        return all(rank[i] < rank[j] for i, j in zip(*np.nonzero(p.leq)) if i != j)
+
+    assert list(linear_orders(p)) == list(filter(respects, itertools.permutations(range(p.k))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(conditioned_orders(), st.sampled_from(sorted(WEIGHTINGS)))
+def test_biased_law_is_the_per_permutation_product(orders, weighting):
+    p, pc = orders
+    w = WEIGHTINGS[weighting](p.k)
+    want = greedy_law(pc, w, free_map=p.free_map)
+    assert exact_distribution(pc, "biased", w, free_map=p.free_map).support == want
+
+
+def _ids(instance):
+    return "_".join(map(str, instance))
+
+
+@pytest.mark.parametrize("instance", [("4", 14, 0), ("1", 10, 4)], ids=_ids)
+def test_biased_law_is_the_per_permutation_product_at_k_10_to_14(instance):
+    p = _avgdeg(*instance)
+    for weighting, make in WEIGHTINGS.items():
+        w = make(p.k)
+        assert exact_distribution(p, "biased", w, cap=p.k).support == greedy_law(p, w), weighting
+
+
+@pytest.mark.parametrize("instance", [("1", 10, 4), ("4", 14, 0), ("3", 11, 0)], ids=_ids)
+def test_biased_law_is_the_tables_float_law(instance):
+    # the sampler tables' float probabilities, row by row in extension_rows'
+    # order, against the exact law: no sampling between the two
+    p = _avgdeg(*instance)
+    for weighting in ("equal", "float"):
+        w = WEIGHTINGS[weighting](p.k)
+        _, bits, prob = extension_rows(p, p.free_map.pairs, w)
+        exact = exact_distribution(p, "biased", w, cap=p.k).support
+        want = np.array([float(exact[x]) for x in map(tuple, bits.T.tolist())])
+        assert np.max(np.abs(prob - want) / want) <= 1e-12, weighting

@@ -49,7 +49,7 @@ from subtv.oracle import conditioned
 from subtv import posets
 from subtv.posets import LISTING_BYTES, _WALK_CHUNK, _upset_counts, extension_rows
 
-from conftest import small_posets
+from conftest import ranked_posets, relation_lists, small_posets
 
 
 @st.composite
@@ -63,21 +63,6 @@ def label_ordered_posets(draw, max_k=5):
         )
     )
     return Poset.from_relations(k, [(min(a, b), max(a, b)) for a, b in pairs])
-
-
-@st.composite
-def relation_lists(draw, max_k=6):
-    # any 1-based pairs at all: self-pairs and cycles included
-    k = draw(st.integers(1, max_k))
-    return k, draw(st.lists(st.tuples(st.integers(1, k), st.integers(1, k)), max_size=10))
-
-
-@st.composite
-def ranked_posets(draw, max_k=6):
-    # each pair oriented by the elements' ranks in a random permutation
-    k, pairs = draw(relation_lists(max_k))
-    rank = draw(st.permutations(range(k)))
-    return Poset.from_relations(k, [(a, b) if rank[a - 1] < rank[b - 1] else (b, a) for a, b in pairs])
 
 
 @st.composite

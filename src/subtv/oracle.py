@@ -42,7 +42,8 @@ def exact_distribution(
     """The exact output distribution of a synthetic extension sampler.
 
     The extensions and their free bits come from posets.extension_rows,
-    as the samplers' tables do; the law is computed here, in Fractions.
+    as the samplers' tables do; the law is computed here exactly, in integers
+    and one Fraction per extension.
     TooLarge when p has more than cap elements (EXACT_CAP unless raised),
     and, under any cap, from extension_rows past posets.LISTING_BYTES.
     kind 'uniform': mass 1/|extensions| per extension.  kind 'biased': the
@@ -102,12 +103,3 @@ def exact_marginal(dist: ExactDistribution, prefix: Condition, coord: int) -> Fr
     if total == 0:
         raise ZeroMassPrefix("prefix has zero mass under the distribution")
     return sum((m for x, m in kept if x[coord] == 1), Fraction(0)) / total
-
-
-def conditioned(dist: ExactDistribution, prefix: Condition) -> ExactDistribution:
-    """dist restricted to the strings agreeing with the prefix, renormalized."""
-    kept = {x: m for x, m in dist.support.items() if prefix.agrees(x) and m > 0}
-    total = sum(kept.values(), Fraction(0))
-    if total == 0:
-        raise ZeroMassPrefix("prefix has zero mass under the distribution")
-    return ExactDistribution({x: m / total for x, m in kept.items()}, dist.n)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from subtv import (
     FULL_CUBE,
+    ExactDistribution,
     Poset,
     apply_condition,
     biased_extension_sampler,
@@ -45,7 +46,6 @@ from subtv.errors import (
     TooLarge,
 )
 from subtv.instances import generate_instance, instance_to_json
-from subtv.oracle import conditioned
 from subtv import posets
 from subtv.posets import LISTING_BYTES, _WALK_CHUNK, _upset_counts, extension_rows
 
@@ -1190,6 +1190,13 @@ assert count_extensions(p) == 180
 assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
 """
     _run_python(code)
+
+
+def conditioned(dist, prefix):
+    """dist restricted to the strings agreeing with the prefix, renormalized."""
+    kept = {x: m for x, m in dist.support.items() if prefix.agrees(x) and m > 0}
+    total = sum(kept.values(), Fraction(0))
+    return ExactDistribution({x: m / total for x, m in kept.items()}, dist.n)
 
 
 def test_uniform_self_reducibility_exact():

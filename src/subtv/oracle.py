@@ -8,6 +8,7 @@ error.  Reals appear only when callers compare against estimator output.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -43,7 +44,8 @@ def exact_distribution(
 
     The extensions and their free bits come from posets.extension_rows,
     as the samplers' tables do; the law is computed here exactly, in integers
-    and one Fraction per extension.
+    and one Fraction per distinct mass, and checked to sum to 1 over the
+    histogram of those masses.
     TooLarge when p has more than cap elements (EXACT_CAP unless raised),
     and, under any cap, from extension_rows past posets.LISTING_BYTES.
     kind 'uniform': mass 1/|extensions| per extension.  kind 'biased': the
@@ -64,10 +66,10 @@ def exact_distribution(
     if p.k > cap:
         raise TooLarge(f"enumeration needs k <= {cap}, got {p.k}")
     fm = free_map if free_map is not None else p.free_map
-    pos, bits, _ = extension_rows(p, fm.pairs)
+    pos, bits, _, _ = extension_rows(p, fm.pairs)
     keys = list(map(tuple, bits.T.tolist()))
     if kind == "uniform":
-        support = dict.fromkeys(keys, Fraction(1, len(keys)))
+        num, dens = 1, [len(keys)] * len(keys)
     else:
         ws = [Fraction(w) for w in weights]  # exact for floats too
         lcd = math.lcm(*(w.denominator for w in ws))
@@ -80,9 +82,14 @@ def exact_distribution(
             minimal = (sets[:, None] & (bit | p.below_masks)) == bit
             den *= np.where(minimal, a, 0).sum(axis=1)[row_set]  # Python ints
             mask ^= bit[es]
-        num = math.prod(a.tolist())
-        support = {x: Fraction(num, d) for x, d in zip(keys, den.tolist())}
-    assert sum(support.values()) == 1
+        num, dens = math.prod(a.tolist()), den.tolist()
+    count = Counter(dens)  # rows per denominator, in the rows' order
+    mass = {d: Fraction(num, d) for d in count}
+    support = dict(zip(keys, map(mass.__getitem__, dens)))
+    # Summed in the order of each mass's first row: in the rows' order each
+    # block of rows that share a prefix sums to a short fraction, which keeps
+    # the partial sums short; a count of 1 skips a Fraction product.
+    assert sum(m * c if c > 1 else m for m, c in zip(mass.values(), count.values())) == 1
     return ExactDistribution(support=support, n=fm.n)
 
 

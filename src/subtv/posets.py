@@ -11,6 +11,8 @@ error it raises (CycleError, ContradictionError, InvalidEncoding) names it.
 One level-by-level expansion, extension_rows, lists an order's linear
 extensions for the support tables, enumerate_extensions and the exact
 oracle; it alone bounds a listing, at LISTING_BYTES: past it, samplers walk.
+A sampler lists only the orders it cannot filter from a cached table: a
+child order's table is its parent's rows that agree with the added pair.
 
 Elements are 0-based internally; instance documents and reported pair
 labels are 1-based.
@@ -30,11 +32,12 @@ from .core import Bits, Condition, ConditionalSampler, KnownDistribution, unifor
 from .errors import ContradictionError, CycleError, InvalidEncoding, ParseError, TooLarge
 
 
-def _row_bytes(k: int, n: int) -> int:
+def _row_bytes(k: int, n: int, itemsize: int = 0) -> int:
     # a step's rows x k minimal test (int64 and bool) and two float64 arrays
     # (weights: both samplers pay them), each row's positions, mask,
-    # probability, row and element index; then the table's n bits and float
-    return 26 * k + 32 + n + 8
+    # probability, row and element index; then the table's n bits and float;
+    # with integer weights, each row's k step totals of itemsize bytes
+    return 26 * k + 32 + n + 8 + itemsize * k
 
 
 # Bytes of one listing (extension_rows): 2^19 rows at k = 10 and n = 45, 181 MB
@@ -233,21 +236,29 @@ def check_weights(k: int, weights: Sequence) -> tuple[float, ...]:
 
 def extension_rows(
     p: Poset, pairs, weights: Optional[Sequence[float]] = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every linear extension of p, one row each: (pos, bits, prob).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Every linear extension of p, one row each: (pos, bits, prob, totals).
 
     pos[r, e] is the step at which row r places e; bits[c, r] is 1 iff row
     r places pairs[c]'s first element first; prob[r] is the greedy walk's
-    probability of row r under the weights, 1 without them.  Each step
-    extends every row by each of its minimal elements, and row-major
-    nonzero keeps the rows in lexicographic order.  Every row has a minimal
-    element, so no level has fewer rows than the one before: a level whose
-    rows at _row_bytes each pass LISTING_BYTES raises TooLarge before it is
-    built, which bounds the whole listing and its transients.
+    probability of row r under the weights, 1 without them.  totals[r, t] is
+    the weight of the elements minimal at row r's step t, kept when the
+    weights are integers with a sum of at most 2^53, so that every total is
+    an exact float, in the narrowest unsigned dtype that holds that sum;
+    None otherwise.  Each step extends every row by each of its
+    minimal elements, and row-major nonzero keeps the rows in lexicographic
+    order.  Every row has a minimal element, so no level has fewer rows than
+    the one before: a level whose rows at _row_bytes each pass LISTING_BYTES
+    raises TooLarge before it is built, which bounds the whole listing and
+    its transients.
     """
     k, below = p.k, p.below_masks
     pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-    row_bytes = _row_bytes(k, len(pairs))
+    totals = None
+    if weights and all(float(w).is_integer() for w in weights):
+        if (weight_sum := sum(map(int, weights))) <= 1 << 53:
+            totals = np.zeros((1, k), np.min_scalar_type(weight_sum))
+    row_bytes = _row_bytes(k, len(pairs), 0 if totals is None else totals.itemsize)
     bit = np.left_shift(1, np.arange(k, dtype=np.int64))
     mask = np.array([(1 << k) - 1])
     pos = np.zeros((1, k), dtype=np.int8)
@@ -261,10 +272,14 @@ def extension_rows(
         pos[np.arange(len(rows)), es] = step
         if weights:  # times w[e] / the minimal elements' total, summed in ascending order
             wm = np.where(minimal, weights, 0.0)
-            prob *= wm[rows, es] / np.cumsum(wm, axis=1)[rows, -1]
+            total = np.cumsum(wm, axis=1)[rows, -1]
+            prob *= wm[rows, es] / total
+            if totals is not None:
+                totals = totals[rows]
+                totals[:, step] = total
     # n x rows in one gather: pos.T's fancy-indexed rows come out C-contiguous
     bits = (pos.T[pairs[:, 0]] < pos.T[pairs[:, 1]]).view(np.uint8)
-    return pos, bits, prob
+    return pos, bits, prob, totals
 
 
 def enumerate_extensions(p: Poset) -> list[tuple[int, ...]]:
@@ -379,8 +394,11 @@ class _Support:
     free bit's values over the rows (n x rows, so one coordinate's values
     are contiguous), `cum`, the rows' cumulative probabilities, and
     `values`, the value guides of the coordinates drawn so far (see
-    _value_guide).  A row costs n + 8 bytes, and 2 to 4 more for each
-    coordinate's guide.
+    _value_guide).  With integer weights (extension_rows' totals), a biased
+    table also keeps each row's `pos` and step `totals`, from which a child
+    table recomputes its probabilities (see _ExtensionSampler._child).  A
+    row costs n + 8 bytes, plus k for pos and k times the totals' itemsize,
+    and 2 to 4 more for each coordinate's guide.
     Otherwise the batched walk's inputs: the conditioned poset's
     strict-predecessor masks and, for the uniform sampler, the up-sets the
     walk can reach, sorted, with their counts of linear orders.
@@ -388,14 +406,24 @@ class _Support:
 
     bits: Optional[np.ndarray] = None
     cum: Optional[np.ndarray] = None
+    pos: Optional[np.ndarray] = None
+    totals: Optional[np.ndarray] = None
     below: Optional[np.ndarray] = None
     upsets: Optional[tuple[np.ndarray, np.ndarray]] = None
     values: dict[int, np.ndarray] = field(default_factory=dict)
 
     @property
     def nbytes(self) -> int:
-        arrays = (self.bits, self.cum, self.below, *(self.upsets or ()), *self.values.values())
+        arrays = (self.bits, self.cum, self.pos, self.totals, self.below)
+        arrays += (*(self.upsets or ()), *self.values.values())
         return sum(a.nbytes for a in arrays if a is not None)
+
+
+def _table(bits: np.ndarray, prob: np.ndarray, pos=None, totals=None) -> _Support:
+    """The table support of rows with these bits and probabilities."""
+    cum = np.cumsum(prob / prob.sum())
+    cum[-1] = 1.0
+    return _Support(bits=bits, cum=cum, pos=pos, totals=totals)
 
 
 def _value_guide(bits: np.ndarray, cum: np.ndarray) -> np.ndarray:
@@ -432,7 +460,9 @@ class _ExtensionSampler(ConditionalSampler):
     Every draw, single or batched, takes one of two paths, and one rule
     picks it: a table whenever extension_rows lists the conditioned order
     within LISTING_BYTES, the walk when it raises TooLarge.  The table path
-    looks up an exact support table per conditioned order: a draw takes
+    looks up an exact support table per conditioned order, which a child of
+    the last condition met filters from that condition's table (see
+    _build_support) instead of listing it again: a draw takes
     one uniform u and the row that a binary search of u in cum picks;
     draw_coordinate reads that row's bit from the coordinate's value guide,
     searching only for the u whose bucket holds rows that disagree.  The
@@ -472,18 +502,21 @@ class _ExtensionSampler(ConditionalSampler):
     def _support(self, condition: Condition, coord: Optional[int] = None) -> Optional[_Support]:
         """The cached support of the condition's order, built on a miss.
 
-        None for a contradictory condition, which leaves the cache as it is.
-        With a coordinate, a table support also holds its value guide.
+        A miss on a child of the last condition met passes _build_support
+        its parent's support, while the cache still holds it.  None for a
+        contradictory condition, which leaves the cache as it is.  With a
+        coordinate, a table support also holds its value guide.
         """
         with self._cache_lock:
-            pc, key = self._order(condition)
+            pc, key, origin = self._order(condition)
             if pc is None:
                 return None
             cache = self._cache
             try:
                 support = cache[key] = cache.pop(key)  # now the most recent
             except KeyError:
-                support = cache[key] = self._build_support(pc)
+                parent = None if origin is None else cache.get(origin[0])
+                support = cache[key] = self._build_support(pc, parent, origin)
                 self._cache_bytes += support.nbytes
             if support.cum is not None and coord is not None and coord not in support.values:
                 guide = support.values[coord] = _value_guide(support.bits[coord], support.cum)
@@ -494,20 +527,26 @@ class _ExtensionSampler(ConditionalSampler):
                 self._cache_bytes -= cache.pop(next(iter(cache))).nbytes
         return support
 
-    def _order(self, condition: Condition) -> tuple[Optional[Poset], Optional[bytes]]:
-        """The conditioned order and its cache key; (None, None) when contradictory.
+    def _order(
+        self, condition: Condition
+    ) -> tuple[Optional[Poset], Optional[bytes], Optional[tuple]]:
+        """The conditioned order, its cache key and its origin; pc and key are
+        None when contradictory.
 
         The chain rule asks for x's prefixes in order, each right after its
         parent (the same condition less its last bit), so the last condition
         met is the only one worth remembering.  Its child orients that one
-        pair in its order; when the earlier bits already imply it,
-        orient_pair returns the same poset, and the child keeps the key
+        pair in its order, and the origin names it: (the last order's key,
+        that order, the child's last coordinate and bit); any other
+        condition's origin is None.  When the earlier bits already imply the
+        pair, orient_pair returns the same poset, and the child keeps the key
         without hashing.  A child of a contradiction is one too.  Any other
         condition is applied to the root poset.
         """
         last, parent, key = self._last
         if condition.fixed == last.fixed:
-            return parent, key
+            return parent, key, None
+        origin = None
         try:
             if condition.fixed[:-1] != last.fixed:
                 pc = apply_condition(self.poset, condition)
@@ -516,23 +555,60 @@ class _ExtensionSampler(ConditionalSampler):
             else:
                 idx, bit = condition.fixed[-1]
                 pc = orient_pair(parent, *self.free_map.pairs[idx], bit)
+                origin = key, parent, idx, bit
         except ContradictionError:
             pc = None
         if pc is not parent:
             key = None if pc is None else pc.leq.tobytes()
         self._last = condition, pc, key
-        return pc, key
+        return pc, key, origin
 
-    def _build_support(self, pc: Poset) -> _Support:
-        """The support of a conditioned poset: a table when its listing fits, else the walk's."""
+    def _build_support(self, pc: Poset, parent: Optional[_Support] = None, origin=None) -> _Support:
+        """The support of a conditioned poset: a table when its listing fits, else the walk's.
+
+        A child of a table (parent, the cached support of origin's order)
+        filters that table's rows when they carry what its probabilities
+        need: always for the uniform sampler, with pos and totals for the
+        biased one.  Every other order is listed.
+        """
         w = self._float_weights
+        if parent is not None and parent.cum is not None:
+            if w is None or parent.totals is not None:
+                return self._child(parent, *origin[1:])
         try:
-            _, bits, prob = extension_rows(pc, self._pairs, w)
+            pos, bits, prob, totals = extension_rows(pc, self._pairs, w)
         except TooLarge:  # past LISTING_BYTES
             return _Support(below=pc.below_masks, upsets=None if w else _upset_counts(pc))
-        cum = np.cumsum(prob / prob.sum())
-        cum[-1] = 1.0
-        return _Support(bits=bits, cum=cum)
+        return _table(bits, prob, None if totals is None else pos, totals)
+
+    def _child(self, parent: _Support, order: Poset, coord: int, bit: int) -> _Support:
+        """The table of order with free pair coord oriented by bit, from order's table.
+
+        Its extensions are the parent's rows with that bit, in the same
+        lexicographic order, so a uniform table needs nothing more.  With
+        the pair oriented a before b, a row's step total loses w[b] exactly
+        at the steps where b was minimal and a is still to be placed: after
+        the step of b's last predecessor in order, up to the step of a.  The
+        totals are integers, so the probabilities are the floats the listing
+        computes, each row's product of w[e] / total in step order.
+        """
+        keep = parent.bits[coord] == bit
+        bits = parent.bits[:, keep]
+        if parent.totals is None:  # uniform
+            return _table(bits, np.ones(bits.shape[1]))
+        i, j = self.free_map.pairs[coord]
+        a, b = (i, j) if bit else (j, i)
+        pos, totals = parent.pos[keep], parent.totals[keep]
+        k = self.poset.k
+        before_b = np.flatnonzero((order.below_masks[b] >> np.arange(k)) & 1)
+        last = pos[:, before_b].max(axis=1, initial=-1)
+        step = np.arange(k)
+        lose = (last[:, None] < step) & (step <= pos[:, a, None])
+        np.subtract(totals, totals.dtype.type(self._float_weights[b]), out=totals, where=lose)
+        ratio = np.empty(pos.shape)  # the weight of the element row r places at step t
+        np.put_along_axis(ratio, pos, self._float_weights, axis=1)
+        ratio /= totals
+        return _table(bits, np.cumprod(ratio, axis=1, out=ratio)[:, -1], pos, totals)
 
     def _walk(self, support: _Support, m: int, rng: np.random.Generator):
         """Yield (first row, positions) for m walks, _WALK_CHUNK walks at a time.

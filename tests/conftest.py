@@ -48,3 +48,12 @@ def ranked_posets(draw, max_k=6):
     k, pairs = draw(relation_lists(max_k))
     rank = draw(st.permutations(range(k)))
     return Poset.from_relations(k, [(a, b) if rank[a - 1] < rank[b - 1] else (b, a) for a, b in pairs])
+
+
+# The biased samplers' weightings: equal and integer weights, whose step
+# totals are exact integers, and float weights, whose are not.
+WEIGHTINGS = {
+    "equal": lambda k: [1] * k,
+    "ramp": lambda k: list(range(1, k + 1)),
+    "float": lambda k: [1 / 3 + 0.1 * i for i in range(k)],
+}

@@ -26,7 +26,7 @@ from subtv.errors import DimensionMismatch, ZeroMassPrefix
 from subtv.instances import generate_instance, instance_to_json
 from subtv.posets import extension_rows, extension_to_bits, parse_poset
 
-from conftest import ranked_posets, small_posets
+from conftest import WEIGHTINGS, ranked_posets, small_posets
 
 
 def test_uniform_distribution_figure1(figure1):
@@ -145,13 +145,6 @@ def test_sampler_agreement_with_oracle(figure1):
 # The biased law by brute force, independent of extension_rows: every order
 # that respects p, each with its product of greedy step ratios.
 
-WEIGHTINGS = {
-    "equal": lambda k: [1] * k,
-    "ramp": lambda k: list(range(1, k + 1)),
-    "float": lambda k: [1 / 3 + 0.1 * i for i in range(k)],
-}
-
-
 def _avgdeg(param, size, index):
     return parse_poset(instance_to_json(generate_instance("avgdeg", param, size, index)))
 
@@ -240,7 +233,7 @@ def test_biased_law_is_the_tables_float_law(instance):
     p = _avgdeg(*instance)
     for weighting in ("equal", "float"):
         w = WEIGHTINGS[weighting](p.k)
-        _, bits, prob = extension_rows(p, p.free_map.pairs, w)
+        _, bits, prob, _ = extension_rows(p, p.free_map.pairs, w)
         exact = exact_distribution(p, "biased", w, cap=p.k).support
         want = np.array([float(exact[x]) for x in map(tuple, bits.T.tolist())])
         assert np.max(np.abs(prob - want) / want) <= 1e-12, weighting

@@ -49,7 +49,7 @@ from subtv.instances import generate_instance, instance_to_json
 from subtv import posets
 from subtv.posets import LISTING_BYTES, _WALK_CHUNK, _upset_counts, extension_rows
 
-from conftest import ranked_posets, relation_lists, small_posets
+from conftest import WEIGHTINGS, ranked_posets, relation_lists, small_posets
 
 
 @st.composite
@@ -273,7 +273,7 @@ def test_extension_rows_bits_match_the_encoder(figure1):
             for i in range(fm.n + 1)
         }
         for cond in sorted(conds, key=lambda c: c.fixed):
-            pos, bits, _ = extension_rows(apply_condition(p, cond), fm.pairs)
+            pos, bits, _, _ = extension_rows(apply_condition(p, cond), fm.pairs)
             orders = pos.argsort(axis=1).tolist()
             assert bits.shape == (fm.n, len(orders)) and bits.dtype == np.uint8
             assert [tuple(row) for row in bits.T.tolist()] == [
@@ -844,9 +844,9 @@ def _count_builds(sampler) -> list[int]:
     """Count the sampler's support builds in the returned one-item list."""
     builds, build = [0], sampler._build_support
 
-    def counted(pc):
+    def counted(pc, *args):
         builds[0] += 1
-        return build(pc)
+        return build(pc, *args)
 
     sampler._build_support = counted
     return builds
@@ -1053,6 +1053,117 @@ def test_parent_path_matches_the_root(monkeypatch):
                     checked[key] = support
             assert roots == [FULL_CUBE] * (len(points) - 1)  # each point's first prefix
             _assert_cache_bytes(sampler)
+
+
+_CHAIN_WEIGHTINGS = sorted(WEIGHTINGS) + ["uniform"]
+
+
+def _chain_sampler(p, weighting):
+    if weighting == "uniform":
+        return uniform_extension_sampler(p)
+    return biased_extension_sampler(p, WEIGHTINGS[weighting](p.k))
+
+
+def _assert_chain_tables(sampler, points):
+    """Along every prefix chain of the points, the sampler's table equals a
+    fresh listing of the conditioned order, bit for bit: its bits, its cum
+    (the listing's probabilities, normalized and summed as the table does)
+    and, where the table keeps them, its positions and step totals."""
+    p = sampler.poset
+    for x in points:
+        for i in range(p.free_map.n + 1):
+            cond = prefix_condition(tuple(x), i)
+            support = sampler._support(cond)
+            pos, bits, prob, totals = extension_rows(
+                apply_condition(p, cond), sampler._pairs, sampler._float_weights
+            )
+            cum = np.cumsum(prob / prob.sum())
+            cum[-1] = 1.0
+            assert np.array_equal(support.bits, bits) and np.array_equal(support.cum, cum)
+            assert (support.totals is None) == (totals is None)
+            if totals is not None:
+                assert support.totals.dtype == totals.dtype
+                assert np.array_equal(support.totals, totals) and np.array_equal(support.pos, pos)
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        ("avgdeg", "1", 10, 4),
+        ("avgdeg", "4", 14, 0),
+        ("avgdeg", "3", 11, 0),
+        ("bipartite", "0.5", 7, 1),
+    ],
+    ids=lambda instance: "_".join(map(str, instance)),
+)
+@pytest.mark.parametrize("weighting", _CHAIN_WEIGHTINGS)
+def test_chain_tables_equal_a_fresh_listing(instance, weighting):
+    # a child of a table filters its parent's rows (and, biased with
+    # integer weights, updates their step totals) instead of listing its
+    # order again; each chain table is the listing's, bit for bit
+    p = parse_poset(instance_to_json(generate_instance(*instance)))
+    sampler = _chain_sampler(p, weighting)
+    _assert_chain_tables(sampler, sampler.draw_many(FULL_CUBE, 20, rng_stream(48)).tolist())
+    if weighting in ("equal", "ramp"):
+        assert sampler._support(FULL_CUBE).totals.dtype == np.uint8
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(st.sampled_from(small_posets()), ranked_posets()),
+    st.sampled_from(_CHAIN_WEIGHTINGS),
+    st.integers(0, 2**32 - 1),
+)
+def test_chain_tables_equal_a_fresh_listing_on_small_orders(p, weighting, seed):
+    sampler = _chain_sampler(p, weighting)
+    _assert_chain_tables(sampler, sampler.draw_many(FULL_CUBE, 4, rng_stream(seed)).tolist())
+
+
+def _count_listings(monkeypatch) -> list[int]:
+    """Count the calls of posets.extension_rows in the returned one-item list."""
+    listings, listing = [0], posets.extension_rows
+
+    def counted(*args):
+        listings[0] += 1
+        return listing(*args)
+
+    monkeypatch.setattr(posets, "extension_rows", counted)
+    return listings
+
+
+def test_only_roots_and_children_of_walks_are_listed(monkeypatch):
+    # over one point's prefix chain on avgdeg_1_010_4: with integer weights
+    # and uniform, every child filters its parent's table, so the root's is
+    # the one listing; float weights list each new order; at a bound of 0
+    # each new order tries its listing and walks; and at a bound just under
+    # the root's rows, the root walks, its child (a child of a walk) is
+    # listed, and the rest filter that child's table
+    p = parse_poset(instance_to_json(generate_instance("avgdeg", "1", 10, 4)))
+    n = p.free_map.n
+    x = uniform_extension_sampler(p).draw_many(FULL_CUBE, 1, rng_stream(49))[0].tolist()
+    chain = [prefix_condition(tuple(x), i) for i in range(n + 1)]
+    orders = len({_order_key(p, cond) for cond in chain})
+    assert orders > 10
+    listings = _count_listings(monkeypatch)
+    for weighting, want in (("uniform", 1), ("equal", 1), ("ramp", 1), ("float", orders)):
+        sampler = _chain_sampler(p, weighting)
+        listings[0] = 0
+        assert all(sampler._support(cond).cum is not None for cond in chain)
+        assert listings == [want], weighting
+    with _listing_bound(monkeypatch, 0):
+        for weighting in ("uniform", "equal"):
+            sampler = _chain_sampler(p, weighting)
+            listings[0] = 0
+            assert all(sampler._support(cond).cum is None for cond in chain)
+            assert listings == [orders], weighting
+    for weighting, itemsize in (("uniform", 0), ("equal", 1)):
+        bound = count_extensions(p) * posets._row_bytes(p.k, n, itemsize) - 1
+        with _listing_bound(monkeypatch, bound):
+            sampler = _chain_sampler(p, weighting)
+            listings[0] = 0
+            supports = [sampler._support(cond) for cond in chain]
+            assert supports[0].cum is None and all(s.cum is not None for s in supports[1:])
+            assert listings == [2], weighting
 
 
 def test_condition_after_another_applies_the_root(monkeypatch):

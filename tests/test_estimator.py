@@ -21,6 +21,7 @@ from subtv import (
     estimate_tv,
     exact_distribution,
     exact_tv,
+    identity_test,
     parse_poset,
     rng_stream,
     uniform_extension_sampler,
@@ -309,34 +310,65 @@ def test_bad_budget_is_invalid(budget):
         estimate_tv(sampler, sampler, 0.3, 0.2, max_total_samples=budget)
 
 
+_RAMP = (1, 2, 3, 4, 5, 6, 7) * 2
+_SMALL = ("estimate", {"zeta": 0.9, "delta": 0.2}, 5)
+# the benchmark's calls: biased-equal against uniform, each workload's own
+# tolerances and budget, and the first estimator seed of its --seed 1 run
+_ENUM_HEAVY = ("estimate", {"zeta": 0.9, "delta": 0.5, "max_total_samples": 7_000_000}, 1000)
+_DRAW_HEAVY = (
+    "test",
+    {"epsilon": 0.26, "eta": 0.56, "delta": 0.1, "max_total_samples": 170_000_000},
+    1000,
+)
+_WALK_K14 = ("estimate", {"zeta": 0.95, "delta": 0.5, "max_total_samples": 200_000}, 1000)
+
 _GOLDEN = [
+    # (param, size, index), weights, (mode, tolerances, seed), then the pins:
+    # estimate, samples, the terms' SHA-256 and the verdict of a test; and
+    # whether the listing bound is 0
     # k = 10: table draws, on a table of thousands of rows
-    ("1", 10, 0.5182980403089379, 4740475,
-     "0ae39b89ecff165b430f3d5bdf9c4fb588890377c56368883c3f7a9ee2193620", False),
+    (("1", 10, 0), _RAMP, _SMALL, 0.5182980403089379, 4740475,
+     "0ae39b89ecff165b430f3d5bdf9c4fb588890377c56368883c3f7a9ee2193620", None, False),
     # k = 14, 36 extensions: table draws
-    ("4", 14, 0.1147016634388092, 173066,
-     "fc85f17f5b9b2ecdd82b91b4562133969b41a7b3612a6c0c4a28d594a0880a3f", False),
+    (("4", 14, 0), _RAMP, _SMALL, 0.1147016634388092, 173066,
+     "fc85f17f5b9b2ecdd82b91b4562133969b41a7b3612a6c0c4a28d594a0880a3f", None, False),
     # the same at a listing bound of 0: the batched walk, whose draws take k
     # uniforms where a table's take one, so the same law gives other terms
-    ("4", 14, 0.15752948320853633, 172964,
-     "d086e0ca58cb30b9aaa690b93a38596321184471b6bf2fca611ddc314f91199a", True),
+    (("4", 14, 0), _RAMP, _SMALL, 0.15752948320853633, 172964,
+     "d086e0ca58cb30b9aaa690b93a38596321184471b6bf2fca611ddc314f91199a", None, True),
+    # the benchmark's workloads: enum-heavy, draw-heavy, walk-k14
+    (("1", 10, 4), (1,) * 10, _ENUM_HEAVY, 0.3203517469583778, 2159965,
+     "19d02ca33d1916b9521dcedc4206f936d97a3bc6033c94e734255f455538540b", None, False),
+    # every free coordinate of avgdeg_2_010_0's tables flips at most 4 times
+    (("2", 10, 0), (1,) * 10, _DRAW_HEAVY, 0.2379721334539192, 55881618,
+     "fd9a298dca52c4319bc6326cb70146ae18e0e4cf5baa54b881d20cb54f58a890", "ACCEPT", False),
+    (("4", 14, 0), (1,) * 14, _WALK_K14, 0.07525605322860036, 67122,
+     "e85d2a5bd3b83f0f6b2a71b7e8d0b2ddf3d74aecc4cb372b1918827e310b6c3c", None, False),
 ]
 
 
 @pytest.mark.parametrize(
-    "param,size,dtv,samples,terms_sha256,walk",
+    "instance,weights,call,dtv,samples,terms_sha256,decision,walk",
     _GOLDEN,
-    ids=["-".join(map(str, case[:-1])) for case in _GOLDEN],  # the pins name a case
+    ids=["-".join(map(str, (*c[0][:2], *c[3:6]))) for c in _GOLDEN],  # the pins name a case
 )
-def test_golden_reports(param, size, dtv, samples, terms_sha256, walk, monkeypatch):
-    # a report is a pure function of (instance, samplers, zeta, delta, seed):
+def test_golden_reports(
+    instance, weights, call, dtv, samples, terms_sha256, decision, walk, monkeypatch
+):
+    # a report is a pure function of (instance, samplers, tolerances, seed):
     # a faster draw must return every draw's bit unchanged
     if walk:
         monkeypatch.setattr(posets, "LISTING_BYTES", 0)
-    p = parse_poset(instance_to_json(generate_instance("avgdeg", param, size, 0)))
-    weights = ((1, 2, 3, 4, 5, 6, 7) * 2)[:size]
-    sampler = biased_extension_sampler(p, weights)
-    report = estimate_tv(sampler, uniform_extension_sampler(p), 0.9, 0.2, seed=5)
+    p = parse_poset(instance_to_json(generate_instance("avgdeg", *instance)))
+    sampler = biased_extension_sampler(p, weights[: p.k])
+    mode, params, seed = call
+    known = uniform_extension_sampler(p)
+    if mode == "test":
+        verdict = identity_test(sampler, known, **params, seed=seed)
+        report = verdict.estimate
+        assert verdict.decision == decision
+    else:
+        report = estimate_tv(sampler, known, **params, seed=seed)
     assert report.dtv_estimate == dtv and report.total_samples == samples
     terms = json.dumps(report.per_sample_terms).encode()
     assert hashlib.sha256(terms).hexdigest() == terms_sha256

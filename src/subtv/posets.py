@@ -383,6 +383,8 @@ _WALK_CHUNK = 2048
 # Each sampler's support cache keeps at most this many conditioned orders and bytes.
 _CACHE_ORDERS = 128
 _CACHE_BYTES = 64 << 20
+# A table coordinate with at most this many flips is drawn by compares of u.
+_FEW_FLIPS = 4
 
 
 @dataclass(frozen=True)
@@ -397,8 +399,10 @@ class _Support:
     _value_guide).  With integer weights (extension_rows' totals), a biased
     table also keeps each row's `pos` and step `totals`, from which a child
     table recomputes its probabilities (see _ExtensionSampler._child).  A
-    row costs n + 8 bytes, plus k for pos and k times the totals' itemsize,
-    and 2 to 4 more for each coordinate's guide.
+    row costs n + 8 bytes, plus k for pos and k times the totals' itemsize.
+    A coordinate's guide adds at most 32 bytes when its bit flips at most
+    _FEW_FLIPS times over the rows, else the larger of 2 to 4 bytes a row
+    and 64 to 128 a flip, the latter capped at 64 KB.
     Otherwise the batched walk's inputs: the conditioned poset's
     strict-predecessor masks and, for the uniform sampler, the up-sets the
     walk can reach, sorted, with their counts of linear orders.
@@ -427,20 +431,27 @@ def _table(bits: np.ndarray, prob: np.ndarray, pos=None, totals=None) -> _Suppor
 
 
 def _value_guide(bits: np.ndarray, cum: np.ndarray) -> np.ndarray:
-    """One coordinate's bit for each of G buckets of u, or 2 where it varies.
+    """One coordinate's guide: where its bit flips, or its bit for each of G
+    buckets of u, 2 where it varies.
 
-    G is the least power of two of at least 2 per row, so u * G and g / G
-    are exact (Chen and Asau, 1974; Devroye 1986, III.2.4).  The bit flips
-    after row r at u = cum[r].  The u in [g / G, (g + 1) / G) pick rows
-    that disagree exactly when a flip lies strictly inside the bucket;
-    otherwise they share the bit of the row u = g / G picks, which is
-    bits[0] flipped once per flip at or below g / G: those with
-    ceil(cum[r] * G) <= g, counted by one bincount.  Rounding can leave a
-    cum just above 1 before the last row; no u < 1 picks a row past it, so
-    a flip there lies in no bucket.
+    The bit flips after row r at u = cum[r], and the row that
+    searchsorted(cum, u, side="right") picks has bits[0] flipped once per
+    flip at or below u.  Up to _FEW_FLIPS flips, the guide is those cums
+    (float64), which draw_coordinate compares u with.  Otherwise G is the
+    least power of two of at least 2 per row and of 64 per flip, the latter
+    capped at 2^16, so u * G and g / G are exact (Chen and Asau, 1974;
+    Devroye 1986, III.2.4).  The u in [g / G, (g + 1) / G) pick rows that
+    disagree exactly when a flip lies strictly inside the bucket; otherwise
+    they share the bit of the row u = g / G picks: bits[0] flipped once per
+    flip with ceil(cum[r] * G) <= g, counted by one bincount.  Rounding can
+    leave a cum just above 1 before the last row; no u < 1 reaches it, so a
+    flip there lies in no bucket and no compare holds.
     """
-    G = 2 << (len(cum) - 1).bit_length()
-    at = cum[np.flatnonzero(bits[1:] != bits[:-1])] * G
+    at = cum[np.flatnonzero(bits[1:] != bits[:-1])]
+    if len(at) <= _FEW_FLIPS:
+        return at
+    G = max(2 << (len(cum) - 1).bit_length(), min(64 << (len(at) - 1).bit_length(), 1 << 16))
+    at = at * G
     flips = np.bincount(np.ceil(at).astype(np.intp), minlength=G + 1)[:G]
     values = (np.cumsum(flips, dtype=np.uint8) & 1) ^ bits[0]  # uint8 keeps the parity
     inside = at[(at < G) & (at != np.floor(at))]
@@ -464,8 +475,10 @@ class _ExtensionSampler(ConditionalSampler):
     the last condition met filters from that condition's table (see
     _build_support) instead of listing it again: a draw takes
     one uniform u and the row that a binary search of u in cum picks;
-    draw_coordinate reads that row's bit from the coordinate's value guide,
-    searching only for the u whose bucket holds rows that disagree.  The
+    draw_coordinate gets that row's bit from the coordinate's value guide:
+    by comparing u with the few cums where the bit flips, or from u's
+    bucket, searching only for the u whose bucket holds rows that disagree.
+    An order whose listing failed is remembered (see _build_support).  The
     batched walk advances all rows of a call together, one element per
     step, each picking among its current minimal elements by weight
     (biased) or by the number of extensions that start with each (uniform,
@@ -497,6 +510,8 @@ class _ExtensionSampler(ConditionalSampler):
         # The last condition met, its order (None when contradictory) and key:
         # first the full cube's.
         self._last = (Condition(), poset, poset.leq.tobytes())
+        # The keys of the last _CACHE_ORDERS orders whose listing failed.
+        self._unlisted: dict[bytes, None] = {}
         self._cache_lock = threading.Lock()
 
     def _support(self, condition: Condition, coord: Optional[int] = None) -> Optional[_Support]:
@@ -569,17 +584,27 @@ class _ExtensionSampler(ConditionalSampler):
         A child of a table (parent, the cached support of origin's order)
         filters that table's rows when they carry what its probabilities
         need: always for the uniform sampler, with pos and totals for the
-        biased one.  Every other order is listed.
+        biased one.  Every other order is listed, unless its listing failed
+        among the last _CACHE_ORDERS that did: then it walks at once, so an
+        order evicted from the cache pays its failed listing once.
         """
         w = self._float_weights
         if parent is not None and parent.cum is not None:
             if w is None or parent.totals is not None:
                 return self._child(parent, *origin[1:])
-        try:
-            pos, bits, prob, totals = extension_rows(pc, self._pairs, w)
-        except TooLarge:  # past LISTING_BYTES
-            return _Support(below=pc.below_masks, upsets=None if w else _upset_counts(pc))
-        return _table(bits, prob, None if totals is None else pos, totals)
+        key, unlisted = pc.leq.tobytes(), self._unlisted
+        if key in unlisted:
+            unlisted[key] = unlisted.pop(key)  # now the most recent
+        else:
+            try:
+                pos, bits, prob, totals = extension_rows(pc, self._pairs, w)
+            except TooLarge:  # past LISTING_BYTES
+                unlisted[key] = None
+                if len(unlisted) > _CACHE_ORDERS:
+                    del unlisted[next(iter(unlisted))]
+            else:
+                return _table(bits, prob, None if totals is None else pos, totals)
+        return _Support(below=pc.below_masks, upsets=None if w else _upset_counts(pc))
 
     def _child(self, parent: _Support, order: Poset, coord: int, bit: int) -> _Support:
         """The table of order with free pair coord oriented by bit, from order's table.
@@ -680,18 +705,25 @@ class _ExtensionSampler(ConditionalSampler):
     def draw_coordinate(
         self, condition: Condition, coord: int, m: int, rng: np.random.Generator
     ) -> np.ndarray:
+        """Free bit coord of m conditional draws, draw_many's column from the
+        same uniforms; a bit that never flips draws them too.  On a table, the
+        bit of the row searchsorted(cum, u, side="right") picks: bits[0]
+        flipped once per flip at or below u, or u's bucket's value, searched
+        for only where the bucket's rows disagree."""
         support = self._support(condition, coord)
         if support is None or support.cum is None:
             return self._draw(support, condition, coord, m, rng)
-        # The bit of the row searchsorted(cum, u, side="right") picks: its
-        # bucket's value, searched for only where the bucket's rows disagree.
-        guide, u = support.values[coord], rng.random(m)
+        guide, u, bits = support.values[coord], rng.random(m), support.bits[coord]
+        if guide.dtype != np.uint8:
+            out = np.full(m, bits[0], dtype=np.uint8)
+            for at in guide:
+                out ^= u >= at
+            return out
         u *= len(guide)  # exact, and undone exactly: a power of two
         out = guide[u.astype(np.intp)]
         mixed = np.flatnonzero(out == 2)
         if len(mixed):
-            row = np.searchsorted(support.cum, u[mixed] / len(guide), side="right")
-            out[mixed] = support.bits[coord, row]
+            out[mixed] = bits[np.searchsorted(support.cum, u[mixed] / len(guide), side="right")]
         return out
 
 

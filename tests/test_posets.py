@@ -759,6 +759,9 @@ def _assert_draws_match_oracle(monkeypatch, nbytes):
                 assert column.dtype == np.uint8
                 assert np.array_equal(column, draws[:, coord])
                 assert rng_coord.bit_generator.state == rng.bit_generator.state
+            if nbytes > 0:
+                guides = sampler._support(FULL_CUBE).values.values()
+                assert _guide_kinds(guides) == {"flips", "buckets"}
             _assert_cache_bytes(sampler)
 
 
@@ -796,18 +799,56 @@ def test_walk_top_uniform_picks_last_minimal_element(u, monkeypatch):
     assert [tuple(row) for row in draws.tolist()] == [expected] * 5
 
 
+def _hand_built_table_sampler():
+    """A sampler whose full-cube support is a hand-built table: its cum ties
+    at 0.3, reaches numpy's largest uniform and rounds just above 1 before
+    the last row.  Coordinate 0 never flips; coordinate 1 flips 4 times,
+    once past 1 and twice at the tie; coordinate 2 flips after every row."""
+    p = Poset.from_relations(3, [])
+    sampler = uniform_extension_sampler(p)
+    cum = np.array([0.125, 0.3, 0.3, 0.7, 0.9, 1 - 2**-53, 1 + 2**-52, 1.0])
+    bits = np.array([[1] * 8, [0, 1, 0, 1, 1, 1, 1, 0], [0, 1] * 4], dtype=np.uint8)
+    table = posets._Support(bits=bits, cum=cum)
+    sampler._cache[_order_key(p, FULL_CUBE)] = table
+    sampler._cache_bytes = table.nbytes
+    return sampler
+
+
 def _table_sampler(name, figure1):
     if name == "figure1":
         return uniform_extension_sampler(figure1)
     if name == "avgdeg_2_010_0":  # the draw-heavy benchmark's biased-equal sampler
         p = parse_poset(instance_to_json(generate_instance("avgdeg", "2", 10, 0)))
         return biased_extension_sampler(p, (1,) * 10)
+    if name == "avgdeg_3_011_0":  # 60 rows, whose bucket guides are sized by flips
+        return biased_extension_sampler(_avgdeg_3_011_0(), (1, 2, 4, 3, 5, 7, 1, 2, 4, 3, 5))
+    if name == "hand_built":
+        return _hand_built_table_sampler()
     # weights 10^-i: most of the 9! extensions have tiny probabilities, so
     # thousands of rows share a value-guide bucket
     return biased_extension_sampler(Poset.from_relations(9, []), [10.0**-i for i in range(9)])
 
 
-@pytest.mark.parametrize("name", ["figure1", "avgdeg_2_010_0", "skewed_antichain9"])
+def _guide_kinds(guides) -> set[str]:
+    """How coordinate draws with these value guides get their bits: by
+    compares of u with the cums where the bit flips ("flips", or "never"
+    for a bit that never flips), or from u's bucket ("buckets")."""
+    return {
+        "buckets" if g.dtype == np.uint8 else "flips" if len(g) else "never" for g in guides
+    }
+
+
+# The value guides each case's coordinates get: together, every kind.
+_TABLE_GUIDES = {
+    "figure1": {"flips"},
+    "avgdeg_2_010_0": {"flips"},
+    "avgdeg_3_011_0": {"flips", "buckets"},
+    "hand_built": {"never", "flips", "buckets"},
+    "skewed_antichain9": {"buckets"},
+}
+
+
+@pytest.mark.parametrize("name", list(_TABLE_GUIDES))
 def test_table_draws_pick_the_binary_search_row(figure1, name):
     # at every boundary u can meet, a table draw picks the row that
     # searchsorted(cum, u, side="right") picks, and a coordinate draw that
@@ -815,10 +856,13 @@ def test_table_draws_pick_the_binary_search_row(figure1, name):
     # on the float just below either
     sampler = _table_sampler(name, figure1)
     support = sampler._support(FULL_CUBE)
-    cum, G = support.cum, 2 << (len(support.cum) - 1).bit_length()
+    cum = support.cum
+    guides = map(posets._value_guide, support.bits, [cum] * sampler.n)
+    sizes = {len(g) for g in guides if g.dtype == np.uint8}
+    sizes = sorted(sizes | {2 << (len(cum) - 1).bit_length()})  # and 2 buckets per row
     if name == "skewed_antichain9":
-        assert np.bincount((cum * G).astype(np.intp)).max() >= 1000
-    edges = np.concatenate([cum, np.arange(G) / G])
+        assert np.bincount((cum * sizes[-1]).astype(np.intp)).max() >= 1000
+    edges = np.concatenate([cum] + [np.arange(G) / G for G in sizes])
     u = np.concatenate([[0.0, 1 - 2**-53], edges, np.nextafter(edges, 0)])
     u = u[u < 1]
     rows = np.searchsorted(cum, u, side="right")
@@ -837,7 +881,17 @@ def test_table_draws_pick_the_binary_search_row(figure1, name):
         spent.append(time.process_time() - start)
         assert np.array_equal(bits, support.bits[coord, rows])
     assert sorted(support.values) == list(range(sampler.n))
+    assert _guide_kinds(support.values.values()) == _TABLE_GUIDES[name]
     assert max(spent) < 1.0, spent
+    # each coordinate draw leaves the stream where draw_many does
+    rng = rng_stream(51)
+    draws = sampler.draw_many(FULL_CUBE, 1000, rng)
+    for coord in range(sampler.n):
+        rng_coord = rng_stream(51)
+        column = sampler.draw_coordinate(FULL_CUBE, coord, 1000, rng_coord)
+        assert np.array_equal(column, draws[:, coord])
+        assert rng_coord.bit_generator.state == rng.bit_generator.state
+    _assert_cache_bytes(sampler)
 
 
 def _count_builds(sampler) -> list[int]:
@@ -1164,6 +1218,32 @@ def test_only_roots_and_children_of_walks_are_listed(monkeypatch):
             supports = [sampler._support(cond) for cond in chain]
             assert supports[0].cum is None and all(s.cum is not None for s in supports[1:])
             assert listings == [2], weighting
+
+
+def test_an_evicted_order_does_not_list_again_after_a_failed_listing(monkeypatch):
+    # the 6-antichain's 720 rows pass the bound and a one-bit child's 360 fit;
+    # a cache of one support evicts each order when the next is built: the
+    # root walks again without listing, from the same support, while its
+    # child's table is listed again
+    p = Poset.from_relations(6, [])
+    child = make_condition([(0, 1)], p.free_map.n)
+    monkeypatch.setattr(posets, "LISTING_BYTES", 400 * posets._row_bytes(6, p.free_map.n))
+    monkeypatch.setattr(posets, "_CACHE_BYTES", 1)
+    listings = _count_listings(monkeypatch)
+    steps = [(FULL_CUBE, 1), (child, 2), (FULL_CUBE, 2), (child, 3), (FULL_CUBE, 3)]
+    for sampler in (uniform_extension_sampler(p), biased_extension_sampler(p, (1,) * 6)):
+        builds = _count_builds(sampler)
+        listings[0] = 0
+        roots = []
+        for cond, listed in steps:
+            support = sampler._support(cond)
+            assert list(sampler._cache) == [_order_key(p, cond)] and listings == [listed]
+            assert (support.cum is None) == (cond == FULL_CUBE)
+            if cond == FULL_CUBE:
+                roots.append(support)
+        assert builds == [5] and list(sampler._unlisted) == [_order_key(p, FULL_CUBE)]
+        for support in roots[1:]:
+            _assert_same_support(roots[0], support)
 
 
 def test_condition_after_another_applies_the_root(monkeypatch):

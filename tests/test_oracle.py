@@ -237,3 +237,19 @@ def test_biased_law_is_the_tables_float_law(instance):
         exact = exact_distribution(p, "biased", w, cap=p.k).support
         want = np.array([float(exact[x]) for x in map(tuple, bits.T.tolist())])
         assert np.max(np.abs(prob - want) / want) <= 1e-12, weighting
+
+
+# The benchmark's three instances, biased-equal against uniform at cap=k: the
+# values perfbench/workloads.py pins, so that a changed oracle value fails here.
+BENCHMARK_TVS = {
+    ("1", 10, 4): Fraction(104588099, 265130496),
+    ("2", 10, 0): Fraction(1, 4),
+    ("4", 14, 0): Fraction(1, 6),
+}
+
+
+@pytest.mark.parametrize("instance", BENCHMARK_TVS, ids=_ids)
+def test_exact_tv_of_the_benchmark_instances(instance):
+    p = _avgdeg(*instance)
+    biased = exact_distribution(p, "biased", [1] * p.k, cap=p.k)
+    assert exact_tv(biased, exact_distribution(p, "uniform", cap=p.k)) == BENCHMARK_TVS[instance]

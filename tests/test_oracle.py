@@ -253,3 +253,112 @@ def test_exact_tv_of_the_benchmark_instances(instance):
     p = _avgdeg(*instance)
     biased = exact_distribution(p, "biased", [1] * p.k, cap=p.k)
     assert exact_tv(biased, exact_distribution(p, "uniform", cap=p.k)) == BENCHMARK_TVS[instance]
+
+
+# exact_tv sums once per distinct pair of mass objects; its reference is the
+# sum of positive deviations point by point.
+
+def pointwise_tv(p_dist, q_dist):
+    """The sum of positive deviations p(x) - q(x) over p's support, one point at a time."""
+    q = q_dist.support
+    deviations = (m - q.get(x, 0) for x, m in p_dist.support.items())
+    return sum((d for d in deviations if d > 0), Fraction(0))
+
+
+def _assert_tv_is_pointwise(p_dist, q_dist):
+    assert exact_tv(p_dist, q_dist) == pointwise_tv(p_dist, q_dist)
+    assert exact_tv(q_dist, p_dist) == pointwise_tv(q_dist, p_dist)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(small_posets()), st.sampled_from(sorted(WEIGHTINGS)))
+def test_exact_tv_is_the_pointwise_sum(p, weighting):
+    biased = exact_distribution(p, "biased", WEIGHTINGS[weighting](p.k))
+    _assert_tv_is_pointwise(biased, exact_distribution(p, "uniform"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(conditioned_orders(), st.sampled_from(sorted(WEIGHTINGS)))
+def test_exact_tv_is_the_pointwise_sum_on_a_conditioned_support(orders, weighting):
+    # the conditioned law lives on part of p's support: points of one side
+    # are missing from the other
+    p, pc = orders
+    w = WEIGHTINGS[weighting](p.k)
+    conditioned = exact_distribution(pc, "biased", w, free_map=p.free_map)
+    _assert_tv_is_pointwise(conditioned, exact_distribution(p, "uniform"))
+
+
+@pytest.mark.parametrize("instance", [("1", 10, 4), ("4", 14, 0)], ids=_ids)
+def test_exact_tv_is_the_pointwise_sum_at_k_10_to_14(instance):
+    p = _avgdeg(*instance)
+    uniform = exact_distribution(p, "uniform", cap=p.k)
+    laws = [exact_distribution(p, "biased", make(p.k), cap=p.k) for make in WEIGHTINGS.values()]
+    for law in laws:
+        _assert_tv_is_pointwise(law, uniform)
+    _assert_tv_is_pointwise(laws[0], laws[1])
+
+
+def test_exact_tv_is_the_pointwise_sum_on_hand_built_distributions():
+    third = Fraction(1, 3)
+    other_third = Fraction(1, 3)  # equal to third, another object
+    assert other_third == third and other_third is not third
+    # (0, 0): one object in both, deviation 0; (0, 1): equal masses in
+    # distinct objects; (1, 0) only in p; (1, 1) only in q
+    p = ExactDistribution({(0, 0): third, (0, 1): third, (1, 0): third}, 2)
+    q = ExactDistribution({(0, 0): third, (0, 1): other_third, (1, 1): third}, 2)
+    assert exact_tv(p, q) == exact_tv(q, p) == Fraction(1, 3)
+    _assert_tv_is_pointwise(p, q)
+    # distinct objects of one value in p, against one object in q and against none
+    r = ExactDistribution({(0, 0): Fraction(1, 4), (0, 1): Fraction(1, 4), (1, 0): Fraction(1, 2)}, 2)
+    s = ExactDistribution({(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)}, 2)
+    assert exact_tv(r, s) == exact_tv(s, r) == Fraction(3, 4)
+    _assert_tv_is_pointwise(r, s)
+
+
+def test_exact_tv_subtracts_once_per_distinct_mass_pair(monkeypatch):
+    # the benchmark's enum-heavy pair: 4,262 points, 40 distinct biased masses
+    # against one uniform mass.  Fraction is a pure-Python class, so its
+    # subtractions can be counted.
+    p = _avgdeg("1", 10, 4)
+    biased = exact_distribution(p, "biased", [1] * p.k)
+    uniform = exact_distribution(p, "uniform")
+    pairs = {(m, uniform.support[x]) for x, m in biased.support.items()}
+    assert (len(biased.support), len(pairs)) == (4262, 40)
+    subtractions, subtract = [], Fraction.__sub__
+    monkeypatch.setattr(Fraction, "__sub__", lambda a, b: subtractions.append(a) or subtract(a, b))
+    tv = exact_tv(biased, uniform)
+    monkeypatch.undo()
+    assert tv == BENCHMARK_TVS[("1", 10, 4)]
+    assert 0 < len(subtractions) <= len(pairs)
+
+
+# exact_marginal against a reference that reads each point's prefix directly,
+# not through a Condition
+
+def pointwise_marginal(dist, x, i):
+    """Pr[bit i == 1 | the first i bits are x's], summed point by point."""
+    kept = [(y, m) for y, m in dist.support.items() if y[:i] == x[:i]]
+    return sum((m for y, m in kept if y[i] == 1), Fraction(0)) / sum((m for _, m in kept), Fraction(0))
+
+
+def _assert_marginals_are_pointwise(dist, points):
+    for x in points:
+        for i in range(len(x)):
+            assert exact_marginal(dist, prefix_condition(x, i), i) == pointwise_marginal(dist, x, i)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(small_posets()), st.sampled_from(sorted(WEIGHTINGS)), st.data())
+def test_exact_marginal_is_the_pointwise_ratio(p, weighting, data):
+    dist = exact_distribution(p, "biased", WEIGHTINGS[weighting](p.k))
+    x = data.draw(st.sampled_from(sorted(dist.support)))
+    _assert_marginals_are_pointwise(dist, [x])
+
+
+@pytest.mark.parametrize("instance", [("1", 10, 4), ("4", 14, 0)], ids=_ids)
+def test_exact_marginal_is_the_pointwise_ratio_on_drawn_points(instance):
+    p = _avgdeg(*instance)
+    w = WEIGHTINGS["float"](p.k)
+    dist = exact_distribution(p, "biased", w, cap=p.k)
+    draws = biased_extension_sampler(p, w).draw_many(FULL_CUBE, 2, rng_stream(5))
+    _assert_marginals_are_pointwise(dist, [tuple(map(int, row)) for row in draws])

@@ -5,7 +5,7 @@ import pytest
 from subtv import parse_poset
 from subtv.cli import build_parser, parse_sampler_spec, run_cli
 from subtv.errors import UsageError
-from subtv.instances import generate_instance, instance_name, instance_seed
+from subtv.instances import generate_instance, instance_name, instance_seed, instance_to_json
 
 FIGURE1 = '{"elements": 4, "relations": [[1,2],[1,3],[2,4]]}\n'
 ANTICHAIN3 = '{"elements": 3, "relations": []}\n'
@@ -349,3 +349,10 @@ def test_gen_to_stdout(capsys):
 def test_instance_seed_depends_only_on_name():
     assert instance_seed(instance_name("avgdeg", 3, 8, 2)) == instance_seed("avgdeg_3_008_2")
     assert instance_seed("avgdeg_3_008_2") != instance_seed("avgdeg_3_008_3")
+
+
+def test_oracle_dtv_on_a_benchmark_instance(tmp_path, capsys):
+    path = tmp_path / "avgdeg_1_010_4.json"
+    path.write_text(instance_to_json(generate_instance("avgdeg", "1", 10, 4)))
+    assert run_cli(["oracle-dtv", str(path), "--p", "biased-equal", "--q", "uniform"]) == 0
+    assert capsys.readouterr().out.strip() == "104588099/265130496 ≈ 0.394478"

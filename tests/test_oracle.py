@@ -362,3 +362,74 @@ def test_exact_marginal_is_the_pointwise_ratio_on_drawn_points(instance):
     dist = exact_distribution(p, "biased", w, cap=p.k)
     draws = biased_extension_sampler(p, w).draw_many(FULL_CUBE, 2, rng_stream(5))
     _assert_marginals_are_pointwise(dist, [tuple(map(int, row)) for row in draws])
+
+
+# The contract of ExactDistribution, whatever its points are keyed by: mass
+# reads any 0/1 sequence, support lists the points in extension_rows' order
+# with one Fraction object per distinct mass, and hand-built distributions
+# behave as listed ones.
+
+def test_mass_reads_a_point_in_any_sequence_type(figure1):
+    dist = exact_distribution(figure1, "biased", (1, 1, 1, 1))
+    for x, m in dist.support.items():
+        # bytes() of an int64 array is 8 bytes a bit: a key built that way would miss
+        for point in (x, list(x), np.array(x, dtype=np.uint8), np.array(x, dtype=np.int64)):
+            assert dist.mass(point) == m
+
+
+def test_mass_is_zero_off_the_support(figure1, chain3):
+    dist = exact_distribution(figure1, "biased", (1, 1, 1, 1))
+    zero = Fraction(0)
+    for point in ((1,), (1, 1, 0), (2, 1), (1, -1), np.array([1, 257]), (0, 0), np.zeros(2, dtype=np.uint8)):
+        assert dist.mass(point) == zero
+    assert exact_distribution(chain3, "uniform").mass(()) == 1
+
+
+def _listed_support(p, kind, weights):
+    """The support point by point: extension_rows' columns as tuples, in
+    row order, each with the per-permutation law's mass (biased) or one over
+    the row count (uniform)."""
+    _, bits, _, _ = extension_rows(p, p.free_map.pairs)
+    keys = [tuple(int(v) for v in bits[:, r]) for r in range(bits.shape[1])]
+    law = greedy_law(p, weights) if kind == "biased" else dict.fromkeys(keys, Fraction(1, len(keys)))
+    return [(x, law[x]) for x in keys]
+
+
+def _assert_support_is_listed(p, kind, weights):
+    support = exact_distribution(p, kind, weights, cap=p.k).support
+    assert list(support.items()) == _listed_support(p, kind, weights)
+    assert len({id(m) for m in support.values()}) == len(set(support.values()))
+
+
+@pytest.mark.parametrize("p", small_posets(), ids=lambda p: f"k{p.k}")
+def test_support_is_the_listing_in_row_order(p):
+    _assert_support_is_listed(p, "uniform", None)
+    for make in WEIGHTINGS.values():
+        _assert_support_is_listed(p, "biased", make(p.k))
+
+
+@pytest.mark.parametrize("instance", BENCHMARK_TVS, ids=_ids)
+def test_support_is_the_listing_in_row_order_on_the_benchmark_instances(instance):
+    p = _avgdeg(*instance)
+    _assert_support_is_listed(p, "uniform", None)
+    _assert_support_is_listed(p, "biased", [1] * p.k)
+
+
+@pytest.mark.parametrize("instance", [("1", 10, 4), ("4", 14, 0)], ids=_ids)
+def test_hand_built_distributions_match_listed_ones(instance):
+    p = _avgdeg(*instance)
+    n, w = p.free_map.n, WEIGHTINGS["ramp"](p.k)
+    listed = [exact_distribution(p, "biased", w, cap=p.k), exact_distribution(p, "uniform", cap=p.k)]
+    # tuple keys from the permutations, fresh Fraction objects, not extension_rows' order
+    hand = [
+        ExactDistribution(greedy_law(p, w), n),
+        ExactDistribution({x: Fraction(1, len(listed[1].support)) for x in reversed(listed[1].support)}, n),
+    ]
+    assert hand == listed
+    tv = exact_tv(*listed)
+    assert exact_tv(*hand) == exact_tv(hand[0], listed[1]) == exact_tv(listed[0], hand[1]) == tv
+    assert exact_tv(hand[1], hand[0]) == exact_tv(*listed[::-1])
+    x = next(iter(listed[0].support))
+    for i in range(n):
+        for a, b in zip(hand, listed):
+            assert exact_marginal(a, prefix_condition(x, i), i) == exact_marginal(b, prefix_condition(x, i), i)

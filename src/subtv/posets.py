@@ -624,14 +624,14 @@ class _ExtensionSampler(ConditionalSampler):
         i, j = self.free_map.pairs[coord]
         a, b = (i, j) if bit else (j, i)
         pos, totals = parent.pos[keep], parent.totals[keep]
-        k = self.poset.k
-        before_b = np.flatnonzero((order.below_masks[b] >> np.arange(k)) & 1)
-        last = pos[:, before_b].max(axis=1, initial=-1)
+        rows, k = pos.shape
+        before_b = np.flatnonzero(order.leq[:, b])  # with b itself
+        last = pos[:, before_b[before_b != b]].max(axis=1, initial=-1)
         step = np.arange(k)
         lose = (last[:, None] < step) & (step <= pos[:, a, None])
         np.subtract(totals, totals.dtype.type(self._float_weights[b]), out=totals, where=lose)
         ratio = np.empty(pos.shape)  # the weight of the element row r places at step t
-        np.put_along_axis(ratio, pos, self._float_weights, axis=1)
+        ratio.ravel()[pos + np.arange(0, rows * k, k)[:, None]] = self._float_weights
         ratio /= totals
         return _table(bits, np.cumprod(ratio, axis=1, out=ratio)[:, -1], pos, totals)
 

@@ -22,7 +22,7 @@ from subtv import (
     rng_stream,
     uniform_extension_sampler,
 )
-from subtv.errors import DimensionMismatch, ZeroMassPrefix
+from subtv.errors import DimensionMismatch, IndexOutOfRange, ZeroMassPrefix
 from subtv.instances import generate_instance, instance_to_json
 from subtv.posets import extension_rows, extension_to_bits, parse_poset
 
@@ -433,3 +433,27 @@ def test_hand_built_distributions_match_listed_ones(instance):
     for i in range(n):
         for a, b in zip(hand, listed):
             assert exact_marginal(a, prefix_condition(x, i), i) == exact_marginal(b, prefix_condition(x, i), i)
+
+
+def test_exact_marginal_rejects_a_coordinate_outside_the_dimension(figure1):
+    dist = exact_distribution(figure1, "uniform")
+    for coord in (-1, dist.n):
+        with pytest.raises(IndexOutOfRange):
+            exact_marginal(dist, FULL_CUBE, coord)
+
+
+def test_the_oracle_functions_never_build_the_tuple_keyed_support(monkeypatch):
+    # support is a view for readers of the distribution; the oracle itself
+    # reads only the points keyed by their bytes
+    def refuse(dist):
+        raise AssertionError("the tuple-keyed support was built")
+
+    monkeypatch.setattr(ExactDistribution, "support", property(refuse))
+    p = _avgdeg("1", 10, 4)
+    biased = exact_distribution(p, "biased", [1] * p.k)
+    uniform = exact_distribution(p, "uniform")
+    tv = exact_tv(biased, uniform)
+    marginal = exact_marginal(biased, FULL_CUBE, 0)
+    monkeypatch.undo()
+    assert tv == BENCHMARK_TVS[("1", 10, 4)]
+    assert marginal == pointwise_marginal(biased, next(iter(biased.support)), 0)

@@ -46,7 +46,7 @@ class ContradictionError(Error):
 
 
 class TooLarge(Error):
-    """Instance exceeds the enumeration or counting cap."""
+    """A bound is passed: LISTING_BYTES, COUNT_CAP, ELEMENT_CAP or the oracle's cap."""
 
 
 class InvalidEncoding(Error):

@@ -10,9 +10,9 @@ closed matrix; a relation whose reverse already holds is a cycle, and the
 error it raises (CycleError, ContradictionError, InvalidEncoding) names it.
 One level-by-level expansion, extension_rows, lists an order's linear
 extensions for the support tables, enumerate_extensions and the exact
-oracle; it alone bounds a listing, at LISTING_BYTES: past it, samplers walk.
-A sampler lists only the orders it cannot filter from a cached table: a
-child order's table is its parent's rows that agree with the added pair.
+oracle, raising TooLarge past LISTING_BYTES.  A sampler walks an order whose
+counted extensions (_upset_counts) would pass it, and filters a child order's
+table from its parent's cached rows that agree with the added pair.
 
 Elements are 0-based internally; instance documents and reported pair
 labels are 1-based.
@@ -32,12 +32,21 @@ from .core import Bits, Condition, ConditionalSampler, KnownDistribution, unifor
 from .errors import ContradictionError, CycleError, InvalidEncoding, ParseError, TooLarge
 
 
-def _row_bytes(k: int, n: int, itemsize: int = 0) -> int:
+def _totals_dtype(weights: Optional[Sequence[float]]) -> Optional[np.dtype]:
+    """Step totals' dtype: the narrowest unsigned one for integer weights summing to
+    at most 2^53, so each total is an exact float; None for any other weights."""
+    if weights and all(float(w).is_integer() for w in weights):
+        if (weight_sum := sum(map(int, weights))) <= 1 << 53:
+            return np.min_scalar_type(weight_sum)
+    return None
+
+
+def _row_bytes(k: int, n: int, totals: Optional[np.dtype] = None) -> int:
     # a step's rows x k minimal test (int64 and bool) and two float64 arrays
     # (weights: both samplers pay them), each row's positions, mask,
     # probability, row and element index; then the table's n bits and float;
-    # with integer weights, each row's k step totals of itemsize bytes
-    return 26 * k + 32 + n + 8 + itemsize * k
+    # with integer weights, each row's k step totals
+    return 26 * k + 32 + n + 8 + (0 if totals is None else totals.itemsize * k)
 
 
 # Bytes of one listing (extension_rows): 2^19 rows at k = 10 and n = 45, 181 MB
@@ -241,31 +250,26 @@ def extension_rows(
 
     pos[r, e] is the step at which row r places e; bits[c, r] is 1 iff row
     r places pairs[c]'s first element first; prob[r] is the greedy walk's
-    probability of row r under the weights, 1 without them.  totals[r, t] is
-    the weight of the elements minimal at row r's step t, kept when the
-    weights are integers with a sum of at most 2^53, so that every total is
-    an exact float, in the narrowest unsigned dtype that holds that sum;
-    None otherwise.  Each step extends every row by each of its
-    minimal elements, and row-major nonzero keeps the rows in lexicographic
-    order.  Every row has a minimal element, so no level has fewer rows than
-    the one before: a level whose rows at _row_bytes each pass LISTING_BYTES
-    raises TooLarge before it is built, which bounds the whole listing and
-    its transients.
+    probability of row r under the weights, 1 without them.  totals[r, t],
+    of dtype _totals_dtype(weights) (None when that is), is the weight of
+    the elements minimal at row r's step t.  Each step extends every row by
+    each of its minimal elements, and row-major nonzero keeps the rows in
+    lexicographic order.  Every row has a minimal element, so no level has
+    fewer rows than the one before: a level whose rows at _row_bytes each
+    pass LISTING_BYTES raises TooLarge before it is built, which bounds the
+    whole listing and its transients.
     """
     k, below = p.k, p.below_masks
     pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-    totals = None
-    if weights and all(float(w).is_integer() for w in weights):
-        if (weight_sum := sum(map(int, weights))) <= 1 << 53:
-            totals = np.zeros((1, k), np.min_scalar_type(weight_sum))
-    row_bytes = _row_bytes(k, len(pairs), 0 if totals is None else totals.itemsize)
+    dtype = _totals_dtype(weights)
+    totals = None if dtype is None else np.zeros((1, k), dtype)
     bit = np.left_shift(1, np.arange(k, dtype=np.int64))
     mask = np.array([(1 << k) - 1])
     pos = np.zeros((1, k), dtype=np.int8)
     prob = np.ones(1)
     for step in range(k):
         minimal = (mask[:, None] & (bit | below)) == bit
-        if (count := np.count_nonzero(minimal)) * row_bytes > LISTING_BYTES:
+        if (count := np.count_nonzero(minimal)) * _row_bytes(k, len(pairs), dtype) > LISTING_BYTES:
             raise TooLarge(f"over {LISTING_BYTES} bytes: {count} rows at step {step + 1}")
         rows, es = np.nonzero(minimal)
         mask, pos, prob = mask[rows] ^ bit[es], pos[rows], prob[rows]
@@ -301,12 +305,18 @@ def _upset_counts(p: Poset) -> tuple[np.ndarray, np.ndarray]:
     each set's count sums its predecessors' counts: count(U) is the sum of
     count(U - e) over the minimal elements e of U (De Loof, De Meyer and
     De Baets, 2006).  int64 is exact for k <= COUNT_CAP, since 20! < 2^63.
+    Past it, a level's counts sum to at most the full set's, as each linear
+    order ends in an order of one of its sets: once they pass any listing's
+    rows (as at that many sets), only the full set returns, one row past them.
     """
+    saturated = LISTING_BYTES // _row_bytes(p.k, 0) + 1
     bit = np.left_shift(1, np.arange(p.k, dtype=np.int64))
     above = _element_masks(p.leq)
     level, count = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
     masks, counts = [level], [count]
     for _ in range(p.k):
+        if p.k > COUNT_CAP and count.sum() >= saturated:  # below k times that: no overflow
+            return np.array([(1 << p.k) - 1]), np.array([saturated])
         rows, es = np.nonzero((level[:, None] & (bit | above)) == above)
         child = level[rows] | bit[es]
         order = np.argsort(child)
@@ -334,8 +344,8 @@ def extension_to_bits(e: Sequence[int], free_map: FreeBitMap) -> Bits:
 def bits_to_extension(bits: Bits, p: Poset) -> tuple[int, ...]:
     """Inverse of extension_to_bits; InvalidEncoding when no extension matches."""
     free_map = p.free_map
-    if len(bits) != free_map.n:
-        raise InvalidEncoding(f"expected {free_map.n} free bits, got {len(bits)}")
+    if len(bits) != free_map.n or any(bit not in (0, 1) for bit in bits):
+        raise InvalidEncoding(f"expected {free_map.n} free bits of 0 or 1, got {tuple(bits)}")
     pairs = (pair if bit == 1 else pair[::-1] for pair, bit in zip(free_map.pairs, bits))
     leq = _add_relations(p.leq, pairs, InvalidEncoding)
     # Every pair is now decided, so the elements' predecessor counts are 0..k-1.
@@ -405,7 +415,7 @@ class _Support:
     and 64 to 128 a flip, the latter capped at 64 KB.
     Otherwise the batched walk's inputs: the conditioned poset's
     strict-predecessor masks and, for the uniform sampler, the up-sets the
-    walk can reach, sorted, with their counts of linear orders.
+    walk can reach, sorted, with the counts of linear orders that chose the walk.
     """
 
     bits: Optional[np.ndarray] = None
@@ -469,17 +479,16 @@ class _ExtensionSampler(ConditionalSampler):
     uniform bits on the free coordinates.
 
     Every draw, single or batched, takes one of two paths, and one rule
-    picks it: a table whenever extension_rows lists the conditioned order
-    within LISTING_BYTES, the walk when it raises TooLarge.  The table path
-    looks up an exact support table per conditioned order, which a child of
-    the last condition met filters from that condition's table (see
-    _build_support) instead of listing it again: a draw takes
+    picks it: a table whenever extension_rows would list the conditioned
+    order within LISTING_BYTES, else the walk (see _build_support).
+    The table path looks up an exact support table per conditioned order,
+    which a child of the last condition met filters from that condition's
+    table instead of listing it again: a draw takes
     one uniform u and the row that a binary search of u in cum picks;
     draw_coordinate gets that row's bit from the coordinate's value guide:
     by comparing u with the few cums where the bit flips, or from u's
     bucket, searching only for the u whose bucket holds rows that disagree.
-    An order whose listing failed is remembered (see _build_support).  The
-    batched walk advances all rows of a call together, one element per
+    The batched walk advances all rows of a call together, one element per
     step, each picking among its current minimal elements by weight
     (biased) or by the number of extensions that start with each (uniform,
     counted over the up-sets the walk can reach).  Both paths give the same
@@ -510,9 +519,8 @@ class _ExtensionSampler(ConditionalSampler):
         # The last condition met, its order (None when contradictory) and key:
         # first the full cube's.
         self._last = (Condition(), poset, poset.leq.tobytes())
-        # The keys of the last _CACHE_ORDERS orders whose listing failed.
-        self._unlisted: dict[bytes, None] = {}
         self._cache_lock = threading.Lock()
+        self._row_bytes = _row_bytes(poset.k, self.n, _totals_dtype(self._float_weights))
 
     def _support(self, condition: Condition, coord: Optional[int] = None) -> Optional[_Support]:
         """The cached support of the condition's order, built on a miss.
@@ -582,29 +590,21 @@ class _ExtensionSampler(ConditionalSampler):
         """The support of a conditioned poset: a table when its listing fits, else the walk's.
 
         A child of a table (parent, the cached support of origin's order)
-        filters that table's rows when they carry what its probabilities
-        need: always for the uniform sampler, with pos and totals for the
-        biased one.  Every other order is listed, unless its listing failed
-        among the last _CACHE_ORDERS that did: then it walks at once, so an
-        order evicted from the cache pays its failed listing once.
+        fits, its extensions being some of the parent's rows: it filters them
+        when they carry what its probabilities need (always for the uniform
+        sampler, with pos and totals for the biased one), else it is listed.
+        Any other order is counted: its listing's last level is its largest,
+        so it walks exactly when count x _row_bytes passes LISTING_BYTES.
         """
         w = self._float_weights
-        if parent is not None and parent.cum is not None:
-            if w is None or parent.totals is not None:
-                return self._child(parent, *origin[1:])
-        key, unlisted = pc.leq.tobytes(), self._unlisted
-        if key in unlisted:
-            unlisted[key] = unlisted.pop(key)  # now the most recent
-        else:
-            try:
-                pos, bits, prob, totals = extension_rows(pc, self._pairs, w)
-            except TooLarge:  # past LISTING_BYTES
-                unlisted[key] = None
-                if len(unlisted) > _CACHE_ORDERS:
-                    del unlisted[next(iter(unlisted))]
-            else:
-                return _table(bits, prob, None if totals is None else pos, totals)
-        return _Support(below=pc.below_masks, upsets=None if w else _upset_counts(pc))
+        if parent is None or parent.cum is None:
+            upsets = _upset_counts(pc)
+            if int(upsets[1][-1]) * self._row_bytes > LISTING_BYTES:
+                return _Support(below=pc.below_masks, upsets=None if w else upsets)
+        elif w is None or parent.totals is not None:
+            return self._child(parent, *origin[1:])
+        pos, bits, prob, totals = extension_rows(pc, self._pairs, w)
+        return _table(bits, prob, None if totals is None else pos, totals)
 
     def _child(self, parent: _Support, order: Poset, coord: int, bit: int) -> _Support:
         """The table of order with free pair coord oriented by bit, from order's table.
@@ -764,8 +764,8 @@ class BiasedExtensionSampler(_ExtensionSampler):
     """
 
     def __init__(self, poset: Poset, weights: Sequence):
+        self._float_weights = check_weights(poset.k, weights)  # before the row bytes
         super().__init__(poset)
-        self._float_weights = check_weights(poset.k, weights)
 
 
 def uniform_extension_sampler(p: Poset, enum_cap: object = None) -> UniformExtensionSampler:

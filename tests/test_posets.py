@@ -565,6 +565,20 @@ def test_uniform_sampler_mass(figure1):
     assert sampler.mass((0, 0)) == 0.0
 
 
+def test_uniform_sampler_mass_matches_the_oracle_off_the_cube(figure1):
+    # a bit outside {0, 1} encodes no extension: bits_to_extension once read
+    # any bit but 1 as 0, giving (2, 1) the mass of (0, 1)
+    sampler = uniform_extension_sampler(figure1)
+    exact = exact_distribution(figure1, "uniform")
+    points = [(2, 1), (1, 2), (-1, 1), (1, -1), (0.5, 1), (1, 0.5), (1.0, 1), (0, 1), (1, 1), (0, 0)]
+    for x in points:
+        assert sampler.mass(x) == float(exact.mass(x)), x
+    assert sampler.mass((2, 1)) == 0.0 and sampler.mass((0, 1)) == pytest.approx(1 / 3)
+    for x in points[:6]:
+        with pytest.raises(InvalidEncoding):
+            bits_to_extension(x, figure1)
+
+
 @pytest.mark.parametrize("k", [4, 11], ids=["table", "walk"])
 def test_biased_weights_must_be_positive_finite_floats(k, monkeypatch):
     # accepted, nan and inf would draw one wrong extension on the walk and
@@ -1189,9 +1203,9 @@ def test_only_roots_and_children_of_walks_are_listed(monkeypatch):
     # over one point's prefix chain on avgdeg_1_010_4: with integer weights
     # and uniform, every child filters its parent's table, so the root's is
     # the one listing; float weights list each new order; at a bound of 0
-    # each new order tries its listing and walks; and at a bound just under
-    # the root's rows, the root walks, its child (a child of a walk) is
-    # listed, and the rest filter that child's table
+    # each new order is counted and walks, with no listing; and at a bound
+    # just under the root's rows, the root is counted and walks, its child
+    # (a child of a walk) is the one listing, and the rest filter its table
     p = parse_poset(instance_to_json(generate_instance("avgdeg", "1", 10, 4)))
     n = p.free_map.n
     x = uniform_extension_sampler(p).draw_many(FULL_CUBE, 1, rng_stream(49))[0].tolist()
@@ -1209,28 +1223,28 @@ def test_only_roots_and_children_of_walks_are_listed(monkeypatch):
             sampler = _chain_sampler(p, weighting)
             listings[0] = 0
             assert all(sampler._support(cond).cum is None for cond in chain)
-            assert listings == [orders], weighting
-    for weighting, itemsize in (("uniform", 0), ("equal", 1)):
-        bound = count_extensions(p) * posets._row_bytes(p.k, n, itemsize) - 1
+            assert listings == [0], weighting
+    for weighting, totals in (("uniform", None), ("equal", np.dtype(np.uint8))):
+        bound = count_extensions(p) * posets._row_bytes(p.k, n, totals) - 1
         with _listing_bound(monkeypatch, bound):
             sampler = _chain_sampler(p, weighting)
             listings[0] = 0
             supports = [sampler._support(cond) for cond in chain]
             assert supports[0].cum is None and all(s.cum is not None for s in supports[1:])
-            assert listings == [2], weighting
+            assert listings == [1], weighting
 
 
-def test_an_evicted_order_does_not_list_again_after_a_failed_listing(monkeypatch):
+def test_an_evicted_order_past_the_bound_walks_again_without_listing(monkeypatch):
     # the 6-antichain's 720 rows pass the bound and a one-bit child's 360 fit;
     # a cache of one support evicts each order when the next is built: the
-    # root walks again without listing, from the same support, while its
-    # child's table is listed again
+    # root is counted and walks again, never listed, from the same support,
+    # while its child's table is listed again
     p = Poset.from_relations(6, [])
     child = make_condition([(0, 1)], p.free_map.n)
     monkeypatch.setattr(posets, "LISTING_BYTES", 400 * posets._row_bytes(6, p.free_map.n))
     monkeypatch.setattr(posets, "_CACHE_BYTES", 1)
     listings = _count_listings(monkeypatch)
-    steps = [(FULL_CUBE, 1), (child, 2), (FULL_CUBE, 2), (child, 3), (FULL_CUBE, 3)]
+    steps = [(FULL_CUBE, 0), (child, 1), (FULL_CUBE, 1), (child, 2), (FULL_CUBE, 2)]
     for sampler in (uniform_extension_sampler(p), biased_extension_sampler(p, (1,) * 6)):
         builds = _count_builds(sampler)
         listings[0] = 0
@@ -1241,9 +1255,149 @@ def test_an_evicted_order_does_not_list_again_after_a_failed_listing(monkeypatch
             assert (support.cum is None) == (cond == FULL_CUBE)
             if cond == FULL_CUBE:
                 roots.append(support)
-        assert builds == [5] and list(sampler._unlisted) == [_order_key(p, FULL_CUBE)]
+        assert builds == [5]
         for support in roots[1:]:
             _assert_same_support(roots[0], support)
+
+
+@pytest.mark.parametrize("weighting", _CHAIN_WEIGHTINGS)
+def test_the_count_picks_the_path_of_the_listing_bound(weighting, monkeypatch):
+    # a listing's last level is its largest, so at a bound of count x row
+    # bytes extension_rows lists the order and a sampler gets its table, and
+    # one byte below it the listing raises and the sampler walks
+    for p in small_posets():
+        sampler = _chain_sampler(p, weighting)
+        orders = [p] + [orient_pair(p, i, j, 1) for i, j in p.free_map.pairs]
+        for pc in orders:
+            rows = count_extensions(pc) * sampler._row_bytes
+            for nbytes in (rows, rows - 1):
+                with _listing_bound(monkeypatch, nbytes):
+                    support = sampler._build_support(pc)
+                    try:
+                        listed = extension_rows(pc, sampler._pairs, sampler._float_weights)
+                    except TooLarge:
+                        assert nbytes < rows and support.cum is None
+                    else:
+                        assert nbytes == rows and len(support.cum) == len(listed[2])
+
+
+def _listing_fits(monkeypatch) -> list:
+    """Record, in the returned list, whether each extension_rows call fits
+    the bound: a listing that raises TooLarge is recorded and raised."""
+    fits, listing = [], posets.extension_rows
+
+    def checked(*args):
+        try:
+            out = listing(*args)
+        except TooLarge:
+            fits.append(False)
+            raise
+        fits.append(True)
+        return out
+
+    monkeypatch.setattr(posets, "extension_rows", checked)
+    return fits
+
+
+def test_no_order_past_the_bound_is_listed(monkeypatch):
+    # over walk-rooted prefix chains on avgdeg_1_010_4, at a bound of half
+    # the root's rows, orders on both sides of the bound are met, and every
+    # listing a sampler makes fits: none is tried and abandoned
+    p = parse_poset(instance_to_json(generate_instance("avgdeg", "1", 10, 4)))
+    points = uniform_extension_sampler(p).draw_many(FULL_CUBE, 4, rng_stream(51)).tolist()
+    chains = [prefix_condition(tuple(x), i) for x in points for i in range(p.free_map.n + 1)]
+    fits = _listing_fits(monkeypatch)
+    for weighting in _CHAIN_WEIGHTINGS:
+        sampler = _chain_sampler(p, weighting)
+        with _listing_bound(monkeypatch, count_extensions(p) * sampler._row_bytes // 2):
+            fits.clear()
+            paths = {sampler._support(cond).cum is None for cond in chains}
+        assert paths == {True, False} and fits and all(fits), weighting
+
+
+def _counted_orders(monkeypatch) -> list:
+    """Record each _upset_counts result in the returned list."""
+    results, count = [], posets._upset_counts
+
+    def counted(p):
+        results.append(count(p))
+        return results[-1]
+
+    monkeypatch.setattr(posets, "_upset_counts", counted)
+    return results
+
+
+def test_a_walking_order_is_counted_once(monkeypatch):
+    # at a bound of 0 every order of a prefix chain walks: each is counted
+    # once, and the uniform sampler walks over that same count
+    p = parse_poset(instance_to_json(generate_instance("avgdeg", "1", 10, 4)))
+    x = uniform_extension_sampler(p).draw_many(FULL_CUBE, 1, rng_stream(52))[0].tolist()
+    chain = [prefix_condition(tuple(x), i) for i in range(p.free_map.n + 1)]
+    orders = len({_order_key(p, cond) for cond in chain})
+    results = _counted_orders(monkeypatch)
+    with _listing_bound(monkeypatch, 0):
+        for weighting in ("uniform", "equal", "float"):
+            sampler = _chain_sampler(p, weighting)
+            results.clear()
+            supports = {id(s): s for s in map(sampler._support, chain)}.values()
+            assert len(supports) == len(results) == orders, weighting
+            if weighting == "uniform":
+                assert [s.upsets for s in supports] == results
+
+
+def test_a_table_roots_float_chain_counts_only_the_root(monkeypatch):
+    # with float weights a child of a table is listed again, and it fits,
+    # as its extensions are some of its parent's rows: it is not counted
+    p = parse_poset(instance_to_json(generate_instance("avgdeg", "1", 10, 4)))
+    x = uniform_extension_sampler(p).draw_many(FULL_CUBE, 1, rng_stream(53))[0].tolist()
+    chain = [prefix_condition(tuple(x), i) for i in range(p.free_map.n + 1)]
+    orders = len({_order_key(p, cond) for cond in chain})
+    results = _counted_orders(monkeypatch)
+    listings = _count_listings(monkeypatch)
+    sampler = _chain_sampler(p, "float")
+    assert all(sampler._support(cond).cum is not None for cond in chain)
+    assert len(results) == 1 and listings == [orders]
+
+
+def test_counts_past_the_count_cap_pick_the_path():
+    # past k = 20 the counts saturate: avgdeg_2_030_0 has 2.8e20 extensions,
+    # past int64, and avgdeg_1_040_0's up-set lattice passes 3 M sets in one
+    # level; both counts stop early, so the biased sampler walks on each, at
+    # a small peak, and draws valid extensions; avgdeg_5_021_2's 9,922
+    # extensions fit, and each weighting's table is the listing's
+    _run_python(
+        """
+import tracemalloc
+import numpy as np
+from subtv import FULL_CUBE, biased_extension_sampler, bits_to_extension, parse_poset, rng_stream
+from subtv.instances import generate_instance, instance_to_json
+from subtv.posets import LISTING_BYTES, _row_bytes, _upset_counts, extension_rows
+for instance in (("2", 30, 0), ("1", 40, 0)):
+    p = parse_poset(instance_to_json(generate_instance("avgdeg", *instance)))
+    tracemalloc.start()
+    sampler = biased_extension_sampler(p, [1] * p.k)
+    draws = sampler.draw_many(FULL_CUBE, 200, rng_stream(54))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 16 << 20, peak
+    assert sampler._support(FULL_CUBE).cum is None
+    assert _upset_counts(p)[1][-1] == LISTING_BYTES // _row_bytes(p.k, 0) + 1
+    for row in draws.tolist():
+        bits_to_extension(tuple(row), p)
+p = parse_poset(instance_to_json(generate_instance("avgdeg", "5", 21, 2)))
+assert _upset_counts(p)[1][-1] == 9922
+for weights in ([1] * 21, list(range(1, 22)), [1 / 3 + 0.1 * i for i in range(21)]):
+    sampler = biased_extension_sampler(p, weights)
+    support = sampler._support(FULL_CUBE)
+    pos, bits, prob, totals = extension_rows(p, sampler._pairs, sampler._float_weights)
+    cum = np.cumsum(prob / prob.sum())
+    cum[-1] = 1.0
+    assert np.array_equal(support.bits, bits) and np.array_equal(support.cum, cum)
+    if totals is not None:
+        assert np.array_equal(support.pos, pos) and np.array_equal(support.totals, totals)
+""",
+        max_bytes=1 << 30,
+    )
 
 
 def test_condition_after_another_applies_the_root(monkeypatch):

@@ -305,9 +305,9 @@ def _upset_counts(p: Poset) -> tuple[np.ndarray, np.ndarray]:
     each set's count sums its predecessors' counts: count(U) is the sum of
     count(U - e) over the minimal elements e of U (De Loof, De Meyer and
     De Baets, 2006).  int64 is exact for k <= COUNT_CAP, since 20! < 2^63.
-    Past it, a level's counts sum to at most the full set's, as each linear
-    order ends in an order of one of its sets: once they pass any listing's
-    rows (as at that many sets), only the full set returns, one row past them.
+    Past it, a level's counts sum to at most the full set's (each linear order
+    ends in an order of one of its sets), so once they pass the rows a listing
+    can hold, only the full set returns, counted one past those rows.
     """
     saturated = LISTING_BYTES // _row_bytes(p.k, 0) + 1
     bit = np.left_shift(1, np.arange(p.k, dtype=np.int64))
@@ -320,7 +320,7 @@ def _upset_counts(p: Poset) -> tuple[np.ndarray, np.ndarray]:
         rows, es = np.nonzero((level[:, None] & (bit | above)) == above)
         child = level[rows] | bit[es]
         order = np.argsort(child)
-        first = np.flatnonzero(np.diff(child[order], prepend=-1))
+        first = np.flatnonzero(np.ediff1d(child[order], to_begin=1))
         level, count = child[order][first], np.add.reduceat(count[rows][order], first)
         masks.append(level)
         counts.append(count)
